@@ -151,7 +151,6 @@ def _resolve_params(args: argparse.Namespace) -> MarketParams:
         value = getattr(args, name, None)
         if value is not None:
             merged[name] = value
-    merged["K"] = int(merged["K"])
     try:
         return MarketParams.from_dict(merged)
     except ValueError as exc:

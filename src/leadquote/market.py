@@ -43,6 +43,10 @@ class MarketParams:
     K: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("a", "b1", "b2", "mu", "m", "s", "F", "c"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         if not self.a > 0:
             raise ValueError(f"market potential a must be positive, got {self.a}")
         if not self.b1 > 0:
@@ -59,7 +63,7 @@ class MarketParams:
             raise ValueError(f"holding cost F must be >= 0, got {self.F}")
         if self.c < 0:
             raise ValueError(f"lateness penalty c must be >= 0, got {self.c}")
-        if not (isinstance(self.K, int) and self.K >= 1):
+        if isinstance(self.K, bool) or not (isinstance(self.K, int) and self.K >= 1):
             raise ValueError(f"capacity K must be an integer >= 1, got {self.K}")
 
     @property
@@ -77,7 +81,7 @@ class MarketParams:
     @classmethod
     def from_dict(cls, d: dict) -> "MarketParams":
         known = {f: d[f] for f in ("a", "b1", "b2", "mu", "m", "s", "F", "c", "K") if f in d}
-        if "K" in known:
+        if "K" in known and not isinstance(known["K"], bool):
             known["K"] = int(known["K"])
         return cls(**known)
 

@@ -1,13 +1,22 @@
-"""Grid-based solvers: the finite-buffer profit problem, accept-all
+"""Numeric solvers: the finite-buffer profit problem, accept-all
 baselines, and a brute-force oracle for certifying the closed forms.
 
 All searches share one two-phase engine: a dense coarse grid over
 (lambda, u) followed by shrinking local refinements around the incumbent,
-where u in [0, 1] parametrizes the quoted lead time between its per-lambda
-lower bound (the service-level constraint) and upper bound (nonnegative
-price, or a penalty-elimination cap when demand ignores lead time).
-Working in (lambda, u) keeps the search box rectangular, so refinement
-windows never have to chase the moving l-bounds.
+where u in [0, 1] places the quoted lead time in a per-lambda band
+[lo, hi]: lo is the service-level minimum, hi the zero-price bound (or a
+penalty-elimination cap when demand ignores lead time).  Working in
+(lambda, u) keeps the search box rectangular, so refinement windows never
+have to chase the moving band.
+
+The finite-buffer solver pins the quote instead and searches lambda
+alone.  For fixed lambda the profit's slope in l is
+c L_s g(l) - lambda_eff b2/b1, with g the sojourn density; g is
+log-concave, so the slope is positive on one interval at most and the best
+quote is either lo or that interval's right end (clipped to hi).  The band
+collapses to that single quote, found by Newton steps on log g.  The
+service-level minimum itself is a bracketed Newton search on the on-time
+probability.  The brute-force oracle keeps the full two-dimensional band.
 
 Tie-breaking is deterministic: smallest lambda, then smallest quote, and
 the incumbent is only replaced on strict improvement, so results do not
@@ -18,7 +27,7 @@ refinement rounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +48,8 @@ from .queueing import (
 
 # Mask tolerances used inside objectives: price may undershoot zero and the
 # on-time probability may undershoot s by this much before a grid point is
-# declared infeasible (bisection leaves ~1e-10 slack on the service bound).
+# declared infeasible (the quote search stops within QUOTE_TOL of the
+# service bound).
 PRICE_SLACK = 1e-12
 SERVICE_SLACK = 1e-9
 
@@ -47,6 +57,11 @@ SERVICE_SLACK = 1e-9
 STABILITY_MARGIN = 1e-6
 
 _COARSE_POINTS = 400
+
+# Quote accuracy of the Newton searches, and a cap on their iterations;
+# they stop on a bracket width or a step size long before the cap.
+QUOTE_TOL = 1e-10
+_MAX_NEWTON_STEPS = 100
 
 ORACLE_MODELS = (
     "mm11-no-costs",
@@ -93,17 +108,18 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     return np.linspace(lo, hi, max(n, 2))
 
 
-def _search(objective, lam_lo, lam_hi, l_lo_of, l_hi_of, config: SolverConfig):
+def _search(objective, lam_lo, lam_hi, band, config: SolverConfig):
     """Maximize objective(lam, l) over the banded box; returns a result dict.
 
-    objective takes broadcastable arrays (lam as a column, l as a matrix)
-    and returns profits with -inf marking infeasible points.
+    band(lam) returns the quote band (lo, hi) for a vector of arrival rates
+    and is called once per vector.  objective takes broadcastable arrays
+    (lam as a column, l as a matrix) and returns profits with -inf marking
+    infeasible points.
     """
     lam_span = max(lam_hi - lam_lo, 0.0)
     step_lam = config.coarse_step_lambda or (lam_span / _COARSE_POINTS if lam_span > 0 else 1.0)
     lam = _axis(lam_lo, lam_hi, step_lam)
-    lo = np.asarray(l_lo_of(lam), dtype=float)
-    hi = np.asarray(l_hi_of(lam), dtype=float)
+    lo, hi = band(lam)
     spans = np.maximum(hi - lo, 0.0)
     max_span = float(spans.max()) if spans.size else 0.0
     step_l = config.coarse_step_l or (max_span / _COARSE_POINTS if max_span > 0 else 1.0)
@@ -113,10 +129,8 @@ def _search(objective, lam_lo, lam_hi, l_lo_of, l_hi_of, config: SolverConfig):
     evals = 0
     best = {"profit": -np.inf, "lam": lam_lo, "l": float(lo[0]), "u": 0.0}
 
-    def consider(lam_vec, u_vec):
+    def consider(lam_vec, row_lo, row_hi, u_vec):
         nonlocal evals
-        row_lo = np.asarray(l_lo_of(lam_vec), dtype=float)
-        row_hi = np.asarray(l_hi_of(lam_vec), dtype=float)
         row_span = np.maximum(row_hi - row_lo, 0.0)
         L = row_lo[:, None] + row_span[:, None] * u_vec[None, :]
         P = objective(lam_vec[:, None], L)
@@ -132,7 +146,7 @@ def _search(objective, lam_lo, lam_hi, l_lo_of, l_hi_of, config: SolverConfig):
                 u=float(u_vec[j]),
             )
 
-    consider(lam, u)
+    consider(lam, lo, hi, u)
     round_profits = [best["profit"]]
 
     w_lam = step_lam
@@ -148,7 +162,7 @@ def _search(objective, lam_lo, lam_hi, l_lo_of, l_hi_of, config: SolverConfig):
             u_w = np.unique(np.clip(best["u"] + w_u * np.linspace(-1.0, 1.0, pts), 0.0, 1.0))
         else:
             u_w = np.array([best["u"]])
-        consider(lam_w, u_w)
+        consider(lam_w, *band(lam_w), u_w)
         rounds_used += 1
         round_profits.append(best["profit"])
         w_lam *= config.refine_shrink
@@ -167,11 +181,18 @@ def _search(objective, lam_lo, lam_hi, l_lo_of, l_hi_of, config: SolverConfig):
     }
 
 
-def min_leadtime_for_service(lam, params: MarketParams, tol: float = 1e-10):
+def min_leadtime_for_service(lam, params: MarketParams, tol: float = QUOTE_TOL):
     """Smallest quote meeting the service level at arrival rate lam.
 
-    P(W <= l) is increasing in l for fixed lam, so plain bisection applies;
-    vectorized over lam.  Returns 0 when s = 0.
+    Safeguarded Newton iteration on P(W <= l) = s, vectorized over lam.
+    Each row keeps a bracket [lo, hi] with P(lo) < s <= P(hi), starting
+    from [0, erlang_quantile_bracket].  Steps are taken on log P(W > l),
+    which is concave because the sojourn density is log-concave: the first
+    step from l = 0 lands on the feasible side, and later ones approach the
+    root from there.  A step that leaves the bracket becomes a bisection;
+    a step shorter than tol/2 is pushed tol/2 past the root estimate so the
+    next evaluation closes the bracket.  Stops when the bracket is at most
+    tol wide and returns its feasible end.  Returns 0 when s = 0.
     """
     mu, K, s = params.mu, params.K, params.s
     scalar = np.isscalar(lam)
@@ -179,22 +200,35 @@ def min_leadtime_for_service(lam, params: MarketParams, tol: float = 1e-10):
     if s <= 0.0:
         out = np.zeros_like(arr)
         return float(out[0]) if scalar else out
+    log_late = math.log1p(-s)
     lo = np.zeros_like(arr)
     hi = np.full_like(arr, erlang_quantile_bracket(mu, K, s))
-    for _ in range(60):
-        short = mm1k_ontime_prob(arr, mu, K, hi) < s
-        if not short.any():
+    # First Newton step from l = 0, where P = 0 and the density is mu * w_0
+    # with w_0 = P(idle)/(1 - P_block), the chance an admitted job finds the
+    # server idle: exact at K = 1, the M/M/1 quote z/(mu - lam) for rho < 1
+    # and large K.  Cancellation in P(idle) at rho > 1 only sends it to hi.
+    block = mm1k_blocking(arr, mu, K)
+    idle = 1.0 - arr * (1.0 - block) / mu
+    with np.errstate(divide="ignore"):
+        x = np.minimum(-log_late * (1.0 - block) / (mu * idle), hi)
+    x = np.where(idle > 0.0, x, hi)
+    live = np.arange(arr.size)
+    for _ in range(_MAX_NEWTON_STEPS):
+        if not live.size:
             break
-        hi = np.where(short, 2.0 * hi, hi)
-    else:
-        raise ArithmeticError("could not bracket the service-level quote")
-    for _ in range(200):
-        if float(np.max(hi - lo)) <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        ok = mm1k_ontime_prob(arr, mu, K, mid) >= s
-        lo = np.where(ok, lo, mid)
-        hi = np.where(ok, mid, hi)
+        xs, los, his = x[live], lo[live], hi[live]
+        ontime, log_g, _ = mm1k_ontime_prob(arr[live], mu, K, xs, log_density=True)
+        ok = ontime >= s
+        his = np.where(ok, xs, his)
+        los = np.where(ok, los, xs)
+        late = 1.0 - ontime
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (np.log(late) - log_late) * np.exp(np.log(late) - log_g)
+        step = np.where(np.abs(step) < 0.5 * tol, step + np.where(ok, -0.5, 0.5) * tol, step)
+        nxt = xs + step
+        nxt = np.where((nxt > los) & (nxt < his), nxt, 0.5 * (los + his))
+        lo[live], hi[live], x[live] = los, his, nxt
+        live = live[his - los > tol]
     return float(hi[0]) if scalar else hi
 
 
@@ -241,6 +275,38 @@ def _leadtime_cap(lo, rate):
     return lo + math.log(1.0 / PENALTY_ELIMINATION) / rate
 
 
+def _mm1k_band(params: MarketParams):
+    """Full quote band of the finite-buffer system: the service-level
+    minimum up to the zero-price bound, or the penalty-elimination cap when
+    b2 = 0.  Only the brute-force oracle searches it."""
+    a, b2, mu = params.a, params.b2, params.mu
+
+    def band(lam):
+        lo = np.atleast_1d(min_leadtime_for_service(lam, params))
+        if b2 > 0:
+            return lo, np.maximum((a - np.asarray(lam, dtype=float)) / b2, lo)
+        return lo, _leadtime_cap(lo, mu)
+
+    return band
+
+
+def _mm1_band(params: MarketParams, costs_on: bool):
+    """Quote band of the accept-all M/M/1 benchmark.  Without costs the
+    service quote z/(mu - lambda) binds, so the band has zero width."""
+    a, b2, mu, z = params.a, params.b2, params.mu, params.z
+
+    def band(lam):
+        lam = np.asarray(lam, dtype=float)
+        lo = z / (mu - lam)
+        if not costs_on:
+            return lo, lo
+        if b2 > 0:
+            return lo, np.maximum((a - lam) / b2, lo)
+        return lo, lo + math.log(1.0 / PENALTY_ELIMINATION) / (mu - lam)
+
+    return band
+
+
 def _numeric_solution(params: MarketParams, result: dict, extra: dict) -> Solution:
     z = params.z
     diagnostics = {"z": z, **extra,
@@ -269,29 +335,95 @@ def _numeric_solution(params: MarketParams, result: dict, extra: dict) -> Soluti
     )
 
 
-def solve_mm1k_numeric(params: MarketParams, config: SolverConfig | None = None) -> Solution:
-    """Optimal policy of the finite-buffer system by two-phase grid search.
+def pinned_quote(lam, params: MarketParams):
+    """Profit-maximizing quote of the finite-buffer system at each arrival rate.
 
-    The quote ranges from the bisected service-level minimum up to the
-    zero-price bound (a - lambda)/b2, or a penalty-elimination cap when
-    b2 = 0.  Declared infeasible when no grid point attains nonnegative
-    price, the service level, and nonnegative profit.
+    With lo the service-level minimum and hi = (a - lam)/b2 the zero-price
+    bound, profit at fixed lam has slope c L_s g(l) - lambda_eff b2/b1 in
+    l.  The sojourn density g is log-concave, so the slope is positive on
+    one interval at most, and the best quote is lo or that interval's right
+    end r clipped to hi, whichever earns more.  r is the largest root of
+    phi(l) = log g(l) - log(lambda_eff b2 / (b1 c L_s)), found by Newton
+    steps that approach it from the right: g falls on [m, oo) with
+    m = max(lo, (K - 1)/mu) for rho > 1 and m = lo otherwise, and from m a
+    step lands right of r by concavity, after which the iterates fall
+    monotonically to r.  Reaching the rising side of g or passing below lo
+    means there is no r above lo.  b2 = 0 pins the penalty-elimination cap
+    (profit never falls in l); c = 0 or lam = 0 pins lo.  Vectorized over
+    lam.
+    """
+    a, b2, mu, c = params.a, params.b2, params.mu, params.c
+    scalar = np.isscalar(lam)
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    lo = np.atleast_1d(min_leadtime_for_service(lam, params))
+    if b2 == 0:
+        quote = _leadtime_cap(lo, mu)
+    else:
+        quote = lo.copy()
+        rows = np.flatnonzero((lam > 0) & (c > 0) & ((a - lam) / b2 > lo))
+        if rows.size:
+            quote[rows] = _penalty_quote(lam[rows], lo[rows], params)
+    return float(quote[0]) if scalar else quote
+
+
+def _penalty_quote(lam, lo, params: MarketParams):
+    """The better of lo and the clipped right end r (see pinned_quote), for
+    rows with lam > 0 and lo below the zero-price bound."""
+    a, b1, b2, mu, K, c = params.a, params.b1, params.b2, params.mu, params.K, params.c
+    hi = (a - lam) / b2
+    leff = lam * (1.0 - mm1k_blocking(lam, mu, K))
+    log_level = np.log(leff * b2 / (b1 * c * mm1k_mean_number(lam, mu, K)))
+    x = np.where(lam > mu, np.maximum(lo, (K - 1) / mu), lo)
+    x = np.minimum(x, hi)
+    root = np.full_like(lam, np.nan)
+    live = np.arange(lam.size)
+    for _ in range(_MAX_NEWTON_STEPS):
+        if not live.size:
+            break
+        xs = x[live]
+        _, log_g, slope = mm1k_ontime_prob(lam[live], mu, K, xs, log_density=True)
+        phi = log_g - log_level[live]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = np.where(slope < 0.0, xs - phi / slope, np.inf)
+        # Left of r (only from the start point) the step overshoots past r;
+        # at hi with phi still positive, r lies beyond the zero-price bound.
+        # Right of r, a rising g or a step below lo means no r above lo.
+        up = phi > 0.0
+        at_cap = up & (xs >= hi[live])
+        nxt = np.where(up, np.minimum(nxt, hi[live]), nxt)
+        done = at_cap | (np.abs(nxt - xs) <= QUOTE_TOL)
+        lost = ~up & ((slope >= 0.0) | (nxt <= lo[live]))
+        root[live[done]] = np.where(at_cap, xs, nxt)[done]
+        x[live] = nxt
+        live = live[~(done | lost)]
+    found = np.flatnonzero(np.isfinite(root))
+    quote = lo.copy()
+    if found.size:
+        # A root that converged onto lo may sit up to QUOTE_TOL below it.
+        r, objective = np.maximum(root[found], lo[found]), _mm1k_objective(params)
+        better = objective(lam[found], r) > objective(lam[found], lo[found])
+        quote[found] = np.where(better, r, lo[found])
+    return quote
+
+
+def solve_mm1k_numeric(params: MarketParams, config: SolverConfig | None = None) -> Solution:
+    """Optimal policy of the finite-buffer system by a search over lambda.
+
+    The quote at each lambda is pinned by pinned_quote, so the grid search
+    runs on a zero-width band.  All config.refine_iterations rounds run:
+    in one dimension a round often finds no better rate only because the
+    optimum lies within its spacing of the incumbent, so stopping on a
+    small improvement (config.tolerance) would stop short.  Declared
+    infeasible when no grid point attains nonnegative price, the service
+    level, and nonnegative profit.
     """
     config = config or SolverConfig()
-    a, b2, mu = params.a, params.b2, params.mu
 
-    def l_lo_of(lam):
-        return min_leadtime_for_service(lam, params)
+    def band(lam):
+        quote = pinned_quote(lam, params)
+        return quote, quote
 
-    if b2 > 0:
-        def l_hi_of(lam):
-            lo = min_leadtime_for_service(lam, params)
-            return np.maximum((a - np.asarray(lam, dtype=float)) / b2, lo)
-    else:
-        def l_hi_of(lam):
-            return _leadtime_cap(min_leadtime_for_service(lam, params), mu)
-
-    result = _search(_mm1k_objective(params), 0.0, a, l_lo_of, l_hi_of, config)
+    result = _search(_mm1k_objective(params), 0.0, params.a, band, replace(config, tolerance=0.0))
     return _numeric_solution(params, result, {"model": "mm1k", "K": params.K})
 
 
@@ -333,20 +465,7 @@ def solve_mm1_baseline(params: MarketParams, costs_on: bool, config: SolverConfi
                                           "evaluations": 0, "refine_rounds": 0,
                                           "round_profits": []}, extra)
 
-    def l_lo_of(lam):
-        return z / (mu - np.asarray(lam, dtype=float))
-
-    if not costs_on:
-        l_hi_of = l_lo_of
-    elif b2 > 0:
-        def l_hi_of(lam):
-            lam = np.asarray(lam, dtype=float)
-            return np.maximum((a - lam) / b2, z / (mu - lam))
-    else:
-        def l_hi_of(lam):
-            lam = np.asarray(lam, dtype=float)
-            lo = z / (mu - lam)
-            return lo + math.log(1.0 / PENALTY_ELIMINATION) / (mu - lam)
+    band = _mm1_band(params, costs_on)
 
     def objective(lam, L):
         p = (a - b2 * L - lam) / b1
@@ -356,7 +475,7 @@ def solve_mm1_baseline(params: MarketParams, costs_on: bool, config: SolverConfi
             profit = profit - F * lam / slack - c * lam * np.exp(-slack * L) / slack
         return np.where(p >= -PRICE_SLACK, profit, -np.inf)
 
-    result = _search(objective, 0.0, lam_hi, l_lo_of, l_hi_of, config)
+    result = _search(objective, 0.0, lam_hi, band, config)
     return _numeric_solution(params, result, extra)
 
 
@@ -382,29 +501,20 @@ def brute_force_oracle(params: MarketParams, model: str, resolution: int = 160,
 
     if model == "mm1k":
         lam_hi = a
-        def l_lo_of(lam):
-            return min_leadtime_for_service(lam, params)
-        if b2 > 0:
-            def l_hi_of(lam):
-                lo = min_leadtime_for_service(lam, params)
-                return np.maximum((a - np.asarray(lam, dtype=float)) / b2, lo)
-        else:
-            def l_hi_of(lam):
-                return _leadtime_cap(min_leadtime_for_service(lam, params), mu)
+        band = _mm1k_band(params)
         objective = _mm1k_objective(params)
     elif model.startswith("mm11"):
         if params.K != 1:
             raise ValueError("single-slot oracle needs K = 1")
         lam_hi = a
-        def l_lo_of(lam):
-            return np.full_like(np.asarray(lam, dtype=float), z / mu)
-        if b2 > 0:
-            def l_hi_of(lam):
-                lam = np.asarray(lam, dtype=float)
-                return np.maximum((a - lam) / b2, z / mu)
-        else:
-            def l_hi_of(lam):
-                return np.full_like(np.asarray(lam, dtype=float), _leadtime_cap(z / mu, mu))
+
+        def band(lam):
+            lam = np.asarray(lam, dtype=float)
+            lo = np.full_like(lam, z / mu)
+            if b2 > 0:
+                return lo, np.maximum((a - lam) / b2, z / mu)
+            return lo, np.full_like(lam, _leadtime_cap(z / mu, mu))
+
         if model == "mm11-no-costs":
             def objective(lam, L):
                 p = (a - b2 * L - lam) / b1
@@ -417,20 +527,9 @@ def brute_force_oracle(params: MarketParams, model: str, resolution: int = 160,
                 return np.where(p >= -PRICE_SLACK, profit, -np.inf)
     else:
         lam_hi = min(a, mu - STABILITY_MARGIN)
-        def l_lo_of(lam):
-            return z / (mu - np.asarray(lam, dtype=float))
-        if model == "mm1-no-costs":
-            l_hi_of = l_lo_of
-        elif b2 > 0:
-            def l_hi_of(lam):
-                lam = np.asarray(lam, dtype=float)
-                return np.maximum((a - lam) / b2, z / (mu - lam))
-        else:
-            def l_hi_of(lam):
-                lam = np.asarray(lam, dtype=float)
-                lo = z / (mu - lam)
-                return lo + math.log(1.0 / PENALTY_ELIMINATION) / (mu - lam)
         costs = model == "mm1-with-costs"
+        band = _mm1_band(params, costs)
+
         def objective(lam, L):
             p = (a - b2 * L - lam) / b1
             profit = lam * (p - m)
@@ -441,8 +540,8 @@ def brute_force_oracle(params: MarketParams, model: str, resolution: int = 160,
 
     # Coarse l step: span of the widest band divided by the resolution.
     probe = np.linspace(0.0, lam_hi, 32)
-    widest = float(np.max(np.maximum(np.asarray(l_hi_of(probe), dtype=float)
-                                     - np.asarray(l_lo_of(probe), dtype=float), 0.0)))
+    probe_lo, probe_hi = band(probe)
+    widest = float(np.max(np.maximum(probe_hi - probe_lo, 0.0)))
     config = SolverConfig(
         coarse_step_lambda=lam_hi / (resolution - 1) if lam_hi > 0 else 1.0,
         coarse_step_l=widest / (resolution - 1) if widest > 0 else None,
@@ -450,20 +549,20 @@ def brute_force_oracle(params: MarketParams, model: str, resolution: int = 160,
         refine_shrink=0.25,
         tolerance=0.0,
     )
-    result = _search(objective, 0.0, lam_hi, l_lo_of, l_hi_of, config)
+    result = _search(objective, 0.0, lam_hi, band, config)
     extra = {"model": "mm1" if model.startswith("mm1-") else ("mm1k" if model == "mm1k" else "mm11"),
              "oracle": model, "resolution": resolution}
     solution = _numeric_solution(params, result, extra)
 
     if sweep_price and solution.feasible:
-        swept = _price_sweep(params, model, objective, l_lo_of, l_hi_of, lam_hi)
+        swept = _price_sweep(params, model, band, lam_hi)
         solution.diagnostics["price_sweep_profit"] = swept["profit"]
         solution.diagnostics["price_sweep_p"] = swept["p"]
         solution.diagnostics["price_sweep_binding_p"] = swept["binding_p"]
     return solution
 
 
-def _price_sweep(params: MarketParams, model: str, banded_objective, l_lo_of, l_hi_of, lam_hi):
+def _price_sweep(params: MarketParams, model: str, band, lam_hi):
     """Coarse 3-D sweep with the price freed and demand as an inequality.
 
     Checks that the best free price sits on the binding demand constraint.
@@ -472,8 +571,7 @@ def _price_sweep(params: MarketParams, model: str, banded_objective, l_lo_of, l_
     mu, F, c = params.mu, params.F, params.c
     n = 60
     lam = np.linspace(0.0, lam_hi, n)
-    lo = np.asarray(l_lo_of(lam), dtype=float)
-    hi = np.asarray(l_hi_of(lam), dtype=float)
+    lo, hi = band(lam)
     u = np.linspace(0.0, 1.0, n)
     L = lo[:, None] + np.maximum(hi - lo, 0.0)[:, None] * u[None, :]
     p = np.linspace(0.0, a / b1, n)

@@ -29,6 +29,11 @@ import numpy as np
 # Width of the rho = 1 branch switch.
 RHO_ONE_TOL = 1e-9
 
+# The on-time product starts on a rescaled value where its true first term
+# is below exp(_LOG_TINY), and then renormalizes every _RENORM_EVERY terms.
+_LOG_TINY = -700.0
+_RENORM_EVERY = 8
+
 
 def _check_rates(lam, mu: float, K: int) -> None:
     if not mu > 0:
@@ -43,38 +48,41 @@ def _ret(x: np.ndarray, scalar: bool):
     return float(x) if scalar else x
 
 
-def mm1k_blocking(lam, mu: float, K: int):
-    """Probability an arrival finds the buffer full and is turned away."""
+def _load(lam, mu: float, K: int):
+    """Shared setup of the kernels: rho, the rho = 1 mask, the rho = 0 mask
+    off that branch, and t = min(rho, 1/rho) <= 1 (0.5 where rho is 0 or 1,
+    whose branches never read it)."""
     _check_rates(lam, mu, K)
-    scalar = np.isscalar(lam)
     rho = np.asarray(lam, dtype=float) / mu
     near_one = np.abs(rho - 1.0) <= RHO_ONE_TOL
-    # Work with t = min(rho, 1/rho) <= 1: for rho > 1 the blocking probability
-    # equals (1 - q)/(1 - q^(K+1)) with q = 1/rho.
-    safe = np.where(near_one | (rho == 0.0), 0.5, rho)
-    t = np.minimum(safe, 1.0 / safe)
-    tk1 = t ** (K + 1)
+    idle = (rho == 0.0) & ~near_one
+    t = np.where(near_one | (rho == 0.0), 0.5, rho)
+    t = np.minimum(t, 1.0 / t)
+    return rho, near_one, idle, t
+
+
+def mm1k_blocking(lam, mu: float, K: int):
+    """Probability an arrival finds the buffer full and is turned away."""
+    scalar = np.isscalar(lam)
+    rho, near_one, idle, t = _load(lam, mu, K)
+    # For rho > 1 the blocking probability equals (1 - q)/(1 - q^(K+1))
+    # with q = 1/rho = t.
     num = np.where(rho > 1.0, 1.0 - t, (1.0 - t) * t**K)
-    block = np.where(near_one, 1.0 / (K + 1), num / (1.0 - tk1))
-    block = np.where(np.asarray(rho == 0.0) & ~near_one, 0.0, block)
-    return _ret(block, scalar)
+    block = np.where(near_one, 1.0 / (K + 1), num / (1.0 - t ** (K + 1)))
+    return _ret(np.where(idle, 0.0, block), scalar)
 
 
 def mm1k_mean_number(lam, mu: float, K: int):
     """Time-average number of jobs in system."""
-    _check_rates(lam, mu, K)
     scalar = np.isscalar(lam)
-    rho = np.asarray(lam, dtype=float) / mu
-    near_one = np.abs(rho - 1.0) <= RHO_ONE_TOL
-    safe = np.where(near_one | (rho == 0.0), 0.5, rho)
-    t = np.minimum(safe, 1.0 / safe)
+    rho, near_one, idle, t = _load(lam, mu, K)
     tk1 = t ** (K + 1)
     # Second term of L: (K+1) rho^(K+1)/(1-rho^(K+1)); for rho > 1 rewrite
     # with q = 1/rho as -(K+1)/(1-q^(K+1)).
     tail = np.where(rho > 1.0, -(K + 1) / (1.0 - tk1), (K + 1) * tk1 / (1.0 - tk1))
+    safe = np.where(near_one | idle, 0.5, rho)
     ls = np.where(near_one, K / 2.0, safe / (1.0 - safe) - tail)
-    ls = np.where(np.asarray(rho == 0.0) & ~near_one, 0.0, ls)
-    return _ret(ls, scalar)
+    return _ret(np.where(idle, 0.0, ls), scalar)
 
 
 def mm1k_throughput(lam, mu: float, K: int):
@@ -97,47 +105,66 @@ def mm1k_mean_sojourn(lam, mu: float, K: int):
     return ls / leff
 
 
-def mm1k_ontime_prob(lam, mu: float, K: int, l):
+def mm1k_ontime_prob(lam, mu: float, K: int, l, log_density: bool = False):
     """P(sojourn <= l) for an admitted job in steady state.
 
     Sum over the k jobs found in system of the Erlang(k+1, mu) cdf at l,
     weighted by the conditional (admitted-arrival) queue-length law
-    (1-rho) rho^k / (1-rho^K) for k = 0..K-1, uniform 1/K at rho = 1.
-    The Erlang tail terms exp(-mu l)(mu l)^i/i! are built by a running
-    product, so the evaluation is stable for K in the hundreds.
+    w_k = (1-rho) rho^k / (1-rho^K) for k = 0..K-1, uniform 1/K at rho = 1.
+    With pi_j the Poisson(mu l) pmf, the late mass sum_k w_k P(Poisson <= k)
+    is summed as a_k = rho a_(k-1) + b_k over the weighted terms
+    b_k = w_k pi_k = b_(k-1) rho mu l / k, one running product with no
+    cancellation.  Where the first term w_0 exp(-mu l) would underflow
+    (mu l or (K-1) ln rho beyond ~700) the product runs on a per-point
+    scale that is renormalized every few terms, so the result stays right
+    at any K in O(points) memory.
+
+    With log_density=True the call returns (P, log g, d log g / dl), where
+    g = mu sum_k b_k is the sojourn density and
+    g' = mu ((rho-1) g - rho mu b_(K-1)), both from the same product.
     """
-    _check_rates(lam, mu, K)
     scalar = np.isscalar(lam) and np.isscalar(l)
-    rho = np.asarray(lam, dtype=float)/mu
-    lead = np.asarray(l, dtype=float)
+    lam, lead = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(l, dtype=float))
+    rho, near_one, idle, t = _load(lam, mu, K)
     if np.any(lead < 0):
         raise ValueError("lead time l must be >= 0")
-    rho, lead = np.broadcast_arrays(rho, lead)
-    near_one = np.abs(rho - 1.0) <= RHO_ONE_TOL
-    safe = np.where(near_one | (rho == 0.0), 0.5, rho)
-    t = np.minimum(safe, 1.0 / safe)
-    # Weight at k = 0; successive weights multiply by rho.  For rho > 1 use
-    # w_0 = (1-q) q^(K-1) / (1-q^K), q = 1/rho, keeping every power <= 1.
-    w0_sub = np.where(
-        rho > 1.0,
-        (1.0 - t) * t ** (K - 1) / (1.0 - t**K),
-        (1.0 - t) / (1.0 - t**K),
-    )
-    w = np.where(near_one, 1.0 / K, w0_sub)
-    w = np.where(np.asarray(rho == 0.0) & ~near_one, 1.0, w)
+    # log w_0; for rho > 1 it is log of (1-q) q^(K-1) / (1-q^K), q = 1/rho = t.
+    log_w0 = np.log1p(-t) - np.log1p(-(t**K))
+    log_w0 = np.where(rho > 1.0, log_w0 + (K - 1) * np.log(t), log_w0)
+    log_w0 = np.where(near_one, -math.log(K), np.where(idle, 0.0, log_w0))
     ratio = np.where(near_one, 1.0, rho)
 
     x = mu * lead
-    term = np.exp(-x)          # Poisson pmf at i = 0
-    erl_tail = term.copy()     # P(Poisson(mu l) <= k), k = 0: survival of Erlang(k+1)
-    late = erl_tail * w
+    log_b0 = log_w0 - x
+    shift = np.where(log_b0 < _LOG_TINY, -log_b0, 0.0)
+    rescale = bool(shift.any())
+    b = np.exp(log_b0 + shift)     # w_k pi_k, times exp(shift) * 2**-exp2
+    a = b.copy()                   # w_k P(Poisson(mu l) <= k), same scale
+    late = b.copy()
+    dens = b.copy()
+    exp2 = np.zeros(b.shape)
+    y = ratio * x
     for k in range(1, K):
-        term = term * x / k
-        erl_tail = erl_tail + term
-        w = w * ratio
-        late = late + erl_tail * w
-    ontime = 1.0 - late
-    return _ret(np.clip(ontime, 0.0, 1.0), scalar)
+        b *= y
+        b /= k
+        a *= ratio
+        a += b
+        late += a
+        if log_density:
+            dens += b
+        if rescale and k % _RENORM_EVERY == 0:
+            late, e = np.frexp(late)
+            a, b, dens = np.ldexp(a, -e), np.ldexp(b, -e), np.ldexp(dens, -e)
+            exp2 += e
+    log_scale = exp2 * math.log(2.0) - shift
+    if rescale:
+        late = late * np.exp(log_scale)
+    ontime = _ret(np.clip(1.0 - late, 0.0, 1.0), scalar)
+    if not log_density:
+        return ontime
+    log_g = math.log(mu) + np.log(dens) + log_scale
+    slope = mu * ((ratio - 1.0) - ratio * b / dens)
+    return ontime, _ret(log_g, scalar), _ret(slope, scalar)
 
 
 def mm1_ontime_prob(lam, mu: float, l):
@@ -192,9 +219,11 @@ def mm1k_metrics(lam: float, mu: float, K: int, l: float) -> QueueMetrics:
 def erlang_quantile_bracket(mu: float, K: int, s: float) -> float:
     """Crude upper bound for the lead time meeting service level s at any load.
 
-    The worst conditional sojourn is Erlang(K, mu); mean K/mu plus a
-    generous multiple of the standard deviation dominates its s-quantile
-    for any s < 1.  Used to seed bisection brackets.
+    The worst conditional sojourn is Erlang(K, mu), and every admitted
+    sojourn is stochastically below it.  Its mean K/mu plus
+    (8 + 2 ln(1/(1-s))) standard deviations dominates its s-quantile for
+    any s < 1 (Chernoff bound on the gamma tail).  Used as the feasible end
+    of the quote search's starting bracket.
     """
     if s <= 0.0:
         return 0.0

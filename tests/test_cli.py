@@ -82,6 +82,28 @@ def test_invalid_parameter_exits_config(capsys):
     assert main(["solve", "--s", "1.5"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--b2", "nan"],
+        ["--m", "nan"],
+        ["--c", "nan"],
+        ["--F", "inf"],
+        ["--a", "inf"],
+    ],
+)
+def test_non_finite_parameter_exits_config(argv, capsys):
+    assert main(["solve", "--model", "mm1k", *argv]) == EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
+
+
+def test_boolean_capacity_in_config_exits_config(tmp_path, capsys):
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps({"K": True}))
+    assert main(["solve", "--model", "mm1k", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "capacity K" in capsys.readouterr().err
+
+
 def test_single_slot_model_requires_unit_buffer(capsys):
     assert main(["solve", "--model", "mm11", "--K", "3"]) == EXIT_CONFIG
     code, doc = run_json(capsys, ["solve", "--model", "mm1k", "--K", "3", "--no-timestamp"])

@@ -65,6 +65,9 @@ def test_z_is_log_reciprocal_tail():
         ("F", -2.0),
         ("c", -1.0),
         ("K", 0),
+        ("b2", math.nan), ("m", math.nan), ("c", math.nan),
+        ("F", math.inf), ("a", math.inf), ("mu", -math.inf),
+        ("K", True),
     ],
 )
 def test_params_validation(field, value):
@@ -72,6 +75,13 @@ def test_params_validation(field, value):
     kwargs[field] = value
     with pytest.raises(ValueError):
         MarketParams(**kwargs)
+
+
+def test_from_dict_keeps_boolean_capacity_rejectable():
+    kwargs = BASE.to_dict()
+    kwargs["K"] = True
+    with pytest.raises(ValueError):
+        MarketParams.from_dict(kwargs)
 
 
 def test_params_json_roundtrip():

@@ -15,12 +15,17 @@ from leadquote import (
     brute_force_oracle,
     min_leadtime_for_service,
     mm1_profit,
+    mm1k_blocking,
+    mm1k_mean_number,
+    mm1k_ontime_prob,
     mm1k_profit,
     solve_mm11_no_costs,
     solve_mm11_with_costs,
     solve_mm1_baseline,
     solve_mm1k_numeric,
 )
+from leadquote.numeric import pinned_quote
+from leadquote.queueing import erlang_quantile_bracket
 
 BASE = MarketParams(a=30.0, b1=4.0, b2=20.0, mu=10.0, m=5.0, s=0.95, F=2.0, c=10.0, K=1)
 
@@ -62,6 +67,102 @@ def test_min_leadtime_increases_with_load_and_buffer():
     assert np.all(np.diff(quotes) > 0)
     p10 = BASE.with_updates(K=10)
     assert min_leadtime_for_service(9.0, p10) > min_leadtime_for_service(9.0, p3)
+
+
+def _bisected_quote(lams, params, tol=1e-12):
+    lo = np.zeros_like(lams)
+    hi = np.full_like(lams, erlang_quantile_bracket(params.mu, params.K, params.s))
+    while np.max(hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        ok = mm1k_ontime_prob(lams, params.mu, params.K, mid) >= params.s
+        lo, hi = np.where(ok, lo, mid), np.where(ok, mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("K", [1, 5, 200, 1000])
+def test_newton_quote_matches_bisection(K):
+    # rho = 0.1, exactly 1, and 3
+    params = BASE.with_updates(K=K)
+    lams = np.array([1.0, 10.0, 30.0])
+    got = min_leadtime_for_service(lams, params)
+    assert np.all(mm1k_ontime_prob(lams, params.mu, K, got) >= params.s)
+    assert np.max(np.abs(got - _bisected_quote(lams, params))) <= 1e-10
+
+
+def _best_scanned_quote(lam, params, points=401):
+    """Argmax of mm1k_profit over [lo, hi] on a grid, then on a finer grid
+    around the coarse winner."""
+    lo = min_leadtime_for_service(lam, params)
+    hi = (params.a - lam) / params.b2 if params.b2 > 0 else lo + math.log(1e12) / params.mu
+
+    def profit(l):
+        return mm1k_profit(Policy(p=(params.a - params.b2 * l - lam) / params.b1, l=l, lam=lam), params)
+
+    grid = np.linspace(lo, hi, points)
+    best = grid[int(np.argmax([profit(l) for l in grid]))]
+    step = grid[1] - grid[0]
+    fine = np.linspace(max(lo, best - step), min(hi, best + step), points)
+    best = fine[int(np.argmax([profit(l) for l in fine]))]
+    return lo, best, fine[1] - fine[0], profit
+
+
+def _interval_inside_mode_bound_case():
+    # rho = 1.5, K = 50, s and c picked so that lo sits left of the density
+    # mode and the interval {c L_s g > lambda_eff b2/b1} ends at l = 4.85,
+    # inside the mode bound (K - 1)/mu = 4.9
+    lam, mu, K = 15.0, 10.0, 50
+    leff = lam * (1.0 - mm1k_blocking(lam, mu, K))
+    _, log_g, _ = mm1k_ontime_prob(lam, mu, K, 4.85, log_density=True)
+    c = leff / (2.0 * mm1k_mean_number(lam, mu, K) * math.exp(log_g))
+    s = mm1k_ontime_prob(lam, mu, K, 4.55)
+    return BASE.with_updates(a=75.0, b1=2.0, b2=1.0, m=1.0, F=1.0, c=c, s=s, K=K), lam
+
+
+@pytest.mark.parametrize(
+    "params,lam",
+    [
+        (BASE.with_updates(K=5), 2.0),
+        (BASE.with_updates(K=5), 12.0),
+        (BASE.with_updates(a=70.0, b2=5.0, K=200), 7.35),
+        (BASE.with_updates(a=60.0, b2=1.0, c=60.0, s=0.2, K=8), 20.0),
+        (BASE.with_updates(b2=0.0, K=5), 5.0),
+        (BASE.with_updates(c=0.0, b2=2.0, K=5), 5.0),
+        _interval_inside_mode_bound_case(),
+    ],
+    ids=["base-K5-light", "base-K5-overloaded", "a70-b2-5-K200", "rho2-s0.2-lo-left-of-mode",
+         "b2-zero", "c-zero", "interval-inside-mode-bound"],
+)
+def test_pinned_quote_is_the_best_quote_in_band(params, lam):
+    lo, scanned, step, profit = _best_scanned_quote(lam, params)
+    quote = pinned_quote(lam, params)
+    assert abs(quote - scanned) <= step
+    assert profit(quote) >= profit(scanned) - 1e-12 * (1.0 + abs(profit(scanned)))
+    if params.c == 0.0:
+        assert quote == lo
+    if params.b2 == 0.0:
+        assert quote == pytest.approx(lo + math.log(1e12) / params.mu, rel=1e-15)
+
+
+def test_pinned_quote_case_sits_left_of_the_mode():
+    params = BASE.with_updates(a=60.0, b2=1.0, c=60.0, s=0.2, K=8)
+    lo = min_leadtime_for_service(20.0, params)
+    _, _, slope = mm1k_ontime_prob(20.0, params.mu, params.K, lo, log_density=True)
+    assert slope > 0.0
+    assert pinned_quote(20.0, params) > lo
+
+
+@pytest.mark.parametrize("b2,s", [(20.0, 0.95), (1.0, 0.95), (1.0, 0.5), (0.5, 0.2)])
+def test_pinned_quote_single_slot_closed_form(b2, s):
+    params = BASE.with_updates(b2=b2, s=s)
+    want = math.log(max(1.0 / (1.0 - s), params.b1 * params.c / b2)) / params.mu
+    lams = np.array([0.5, 3.0, 9.0])
+    assert np.allclose(pinned_quote(lams, params), want, rtol=0.0, atol=1e-9)
+
+
+def test_finite_buffer_search_is_one_dimensional():
+    sol = solve_mm1k_numeric(BASE.with_updates(a=70.0, b2=5.0, K=20))
+    # 401 coarse rates plus at most 12 refinement rounds of 9, one quote each
+    assert sol.diagnostics["evaluations"] <= 401 + 12 * 9
 
 
 def test_numeric_single_slot_matches_closed_form():

@@ -177,3 +177,53 @@ def test_metrics_bundle_consistency():
     assert m.ontime_prob == pytest.approx(ONTIME_FROZEN[(5.0, 10.0, 3, 0.3)], abs=1e-12)
     with pytest.raises(ValueError):
         mm1k_metrics(0.0, 10.0, 3, 0.3)
+
+
+def _gammainc_ontime(lam, mu, K, l):
+    """P(W <= l) as sum_k w_k gammainc(k+1, mu l), w_k proportional to rho^k,
+    with the weights normalized in log space."""
+    from scipy.special import gammainc
+
+    k = np.arange(K)
+    log_w = k * math.log(lam / mu)
+    w = np.exp(log_w - log_w.max())
+    return float(np.sum(w / w.sum() * gammainc(k + 1, mu * l)))
+
+
+@pytest.mark.parametrize("K", [500, 1000, 2000])
+@pytest.mark.parametrize("lam,l", [(20.0, 100.0), (20.0, 210.0), (7.0, 80.0), (12.0, 2.0), (70.0, 20.0)])
+def test_ontime_large_buffer_matches_gammainc(K, lam, l):
+    # mu*l beyond ~745 underflows exp(-mu l), and (K-1) ln rho beyond ~708
+    # underflows the first weight at rho > 1; neither may leak into the sum
+    want = _gammainc_ontime(lam, 10.0, K, l)
+    assert mm1k_ontime_prob(lam, 10.0, K, l) == pytest.approx(want, abs=1e-11)
+
+
+def test_ontime_large_buffer_probes():
+    assert mm1k_ontime_prob(20.0, 10.0, 1000, 100.0) == pytest.approx(0.5167947514296165, abs=1e-12)
+    assert mm1k_ontime_prob(20.0, 10.0, 2000, 210.0) == pytest.approx(0.9870732381109656, abs=1e-12)
+    # rows that need the rescaled product and rows that do not, in one call
+    got = mm1k_ontime_prob(np.array([5.0, 20.0]), 10.0, 2000, np.array([0.3, 210.0]))
+    assert got[0] == pytest.approx(mm1k_ontime_prob(5.0, 10.0, 2000, 0.3), abs=1e-15)
+    assert got[1] == pytest.approx(0.9870732381109656, abs=1e-12)
+
+
+@pytest.mark.parametrize("K", [1, 4, 30])
+@pytest.mark.parametrize("lam", [0.0, 4.0, 10.0, 23.0])
+def test_log_density_matches_differences(K, lam):
+    leads = np.array([0.05, 0.4, 1.7, 3.5])
+    ontime, log_g, slope = mm1k_ontime_prob(lam, 10.0, K, leads, log_density=True)
+    assert np.array_equal(ontime, mm1k_ontime_prob(lam, 10.0, K, leads))
+    h = 1e-6
+    up = mm1k_ontime_prob(lam, 10.0, K, leads + h, log_density=True)
+    down = mm1k_ontime_prob(lam, 10.0, K, leads - h, log_density=True)
+    density = (up[0] - down[0]) / (2 * h)
+    keep = density > 1e-6
+    assert np.allclose(np.exp(log_g[keep]), density[keep], rtol=1e-5)
+    assert np.allclose(slope, (up[1] - down[1]) / (2 * h), rtol=1e-5, atol=1e-5)
+
+
+def test_log_density_closed_form_at_single_slot():
+    _, log_g, slope = mm1k_ontime_prob(3.0, 10.0, 1, 0.7, log_density=True)
+    assert log_g == pytest.approx(math.log(10.0) - 7.0, rel=1e-14)
+    assert slope == pytest.approx(-10.0, rel=1e-14)
