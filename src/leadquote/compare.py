@@ -87,9 +87,8 @@ class GainTable:
 
 
 def _solve_cell(args):
-    base_dict, a, b2, costs_on, cfg = args
+    base_dict, a, b2, costs_on, config = args
     params = MarketParams.from_dict(base_dict).with_updates(a=a, b2=b2, K=1)
-    config = SolverConfig(**cfg) if cfg else None
     if costs_on:
         rej = solve_mm11_with_costs(params)
     else:
@@ -107,17 +106,8 @@ def sweep(base: MarketParams, a_values, b2_values, costs_on: bool,
     """
     a_sorted = sorted(float(a) for a in a_values)
     b2_sorted = sorted((float(b) for b in b2_values), reverse=True)
-    cfg = None
-    if config is not None:
-        cfg = {
-            "coarse_step_lambda": config.coarse_step_lambda,
-            "coarse_step_l": config.coarse_step_l,
-            "refine_iterations": config.refine_iterations,
-            "refine_shrink": config.refine_shrink,
-            "tolerance": config.tolerance,
-        }
     tasks = [
-        (base.to_dict(), a, b2, costs_on, cfg)
+        (base.to_dict(), a, b2, costs_on, config)
         for b2 in b2_sorted
         for a in a_sorted
     ]

@@ -1,22 +1,23 @@
 """Numeric solvers: the finite-buffer profit problem, accept-all
 baselines, and a brute-force oracle for certifying the closed forms.
 
-All searches share one two-phase engine: a dense coarse grid over
-(lambda, u) followed by shrinking local refinements around the incumbent,
-where u in [0, 1] places the quoted lead time in a per-lambda band
-[lo, hi]: lo is the service-level minimum, hi the zero-price bound (or a
-penalty-elimination cap when demand ignores lead time).  Working in
-(lambda, u) keeps the search box rectangular, so refinement windows never
-have to chase the moving band.
+All searches share one two-phase engine: a dense coarse grid followed by
+shrinking local refinements around the incumbent, over lambda and u in
+[0, 1], which places the quote in a per-lambda band [lo, hi] and so keeps
+the search box rectangular.
 
-The finite-buffer solver pins the quote instead and searches lambda
-alone.  For fixed lambda the profit's slope in l is
-c L_s g(l) - lambda_eff b2/b1, with g the sojourn density; g is
-log-concave, so the slope is positive on one interval at most and the best
-quote is either lo or that interval's right end (clipped to hi).  The band
-collapses to that single quote, found by Newton steps on log g.  The
-service-level minimum itself is a bracketed Newton search on the on-time
-probability.  The brute-force oracle keeps the full two-dimensional band.
+The solvers pin the quote as a function of lambda, so the band has zero
+width and they search lambda alone.  For the accept-all M/M/1 benchmark
+the profit is concave in l at fixed lambda and the best quote is
+ln(x)/(mu - lambda), x = max{1/(1-s), b1 c/b2}: the single-slot
+dichotomy with mu - lambda for mu.  For the finite-buffer system the
+slope in l is c L_s g(l) - lambda_eff b2/b1, with g the log-concave
+sojourn density, so it is positive on one interval at most and the best
+quote is lo or that interval's right end (clipped to hi), found by Newton
+steps on log g.  lo, the service-level minimum, is a bracketed Newton
+search on the on-time probability.  Only the brute-force oracle searches
+the full band, up to the zero-price bound (or a penalty-elimination cap
+when demand ignores lead time).
 
 Tie-breaking is deterministic: smallest lambda, then smallest quote, and
 the incumbent is only replaced on strict improvement, so results do not
@@ -27,7 +28,7 @@ refinement rounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .closed_form import (
     PENALTY_ELIMINATION,
     SERVICE_BINDING,
     Solution,
+    critical_service_level,
 )
 from .market import MarketParams, Policy, inverse_price
 from .queueing import (
@@ -77,16 +79,15 @@ class SolverConfig:
     """Knobs of the two-phase grid search.
 
     coarse_step_lambda / coarse_step_l: coarse grid spacing; None picks
-    span/400.  Each refinement round shrinks the window by refine_shrink
-    and stops early once a round improves the incumbent by less than
-    tolerance.
+    span/400 (the quote step only matters on a band of nonzero width,
+    which only the brute-force oracle searches).  All refine_iterations
+    rounds run, each shrinking the window by refine_shrink.
     """
 
     coarse_step_lambda: float | None = None
     coarse_step_l: float | None = None
     refine_iterations: int = 12
     refine_shrink: float = 0.25
-    tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.coarse_step_lambda is not None and not self.coarse_step_lambda > 0:
@@ -97,8 +98,6 @@ class SolverConfig:
             raise ValueError("refine_iterations must be >= 0")
         if not 0.0 < self.refine_shrink < 1.0:
             raise ValueError("refine_shrink must lie in (0, 1)")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be >= 0")
 
 
 def _axis(lo: float, hi: float, step: float) -> np.ndarray:
@@ -114,7 +113,10 @@ def _search(objective, lam_lo, lam_hi, band, config: SolverConfig):
     band(lam) returns the quote band (lo, hi) for a vector of arrival rates
     and is called once per vector.  objective takes broadcastable arrays
     (lam as a column, l as a matrix) and returns profits with -inf marking
-    infeasible points.
+    infeasible points.  Every refinement round runs: in one dimension a
+    round often finds no better rate only because the optimum lies within
+    its spacing of the incumbent, so stopping on a small improvement would
+    stop short.
     """
     lam_span = max(lam_hi - lam_lo, 0.0)
     step_lam = config.coarse_step_lambda or (lam_span / _COARSE_POINTS if lam_span > 0 else 1.0)
@@ -156,7 +158,6 @@ def _search(objective, lam_lo, lam_hi, band, config: SolverConfig):
     for _ in range(config.refine_iterations):
         if not np.isfinite(best["profit"]):
             break
-        prev = best["profit"]
         lam_w = np.unique(np.clip(best["lam"] + w_lam * np.linspace(-1.0, 1.0, pts), lam_lo, lam_hi))
         if w_u > 0:
             u_w = np.unique(np.clip(best["u"] + w_u * np.linspace(-1.0, 1.0, pts), 0.0, 1.0))
@@ -167,8 +168,6 @@ def _search(objective, lam_lo, lam_hi, band, config: SolverConfig):
         round_profits.append(best["profit"])
         w_lam *= config.refine_shrink
         w_u *= config.refine_shrink
-        if best["profit"] - prev < config.tolerance:
-            break
 
     return {
         "lam": best["lam"],
@@ -290,9 +289,39 @@ def _mm1k_band(params: MarketParams):
     return band
 
 
+def _mm1_quote_level(params: MarketParams, costs_on: bool):
+    """ln(x) of the accept-all benchmark's best quote ln(x)/(mu - lambda),
+    and its branch, by the single-slot rule (penalty-binding iff s_c > s).
+    Without costs or with c = 0, x = 1/(1-s); with b2 = 0 the quote is the
+    penalty-elimination cap."""
+    z = params.z
+    if not costs_on or params.c <= 0:
+        return z, SERVICE_BINDING
+    if params.b2 <= 0:
+        return z + math.log(1.0 / PENALTY_ELIMINATION), PENALTY_BINDING
+    if critical_service_level(params) > params.s:
+        return math.log(params.b1 * params.c / params.b2), PENALTY_BINDING
+    return z, SERVICE_BINDING
+
+
+def _mm1_objective(params: MarketParams, costs_on: bool):
+    a, b1, b2, m, mu, F, c = params.a, params.b1, params.b2, params.m, params.mu, params.F, params.c
+
+    def objective(lam, L):
+        p = (a - b2 * L - lam) / b1
+        profit = lam * (p - m)
+        if costs_on:
+            slack = mu - lam
+            profit = profit - F * lam / slack - c * lam * np.exp(-slack * L) / slack
+        return np.where(p >= -PRICE_SLACK, profit, -np.inf)
+
+    return objective
+
+
 def _mm1_band(params: MarketParams, costs_on: bool):
-    """Quote band of the accept-all M/M/1 benchmark.  Without costs the
-    service quote z/(mu - lambda) binds, so the band has zero width."""
+    """Full quote band of the accept-all M/M/1 benchmark.  Without costs
+    the service quote z/(mu - lambda) binds, so the band has zero width.
+    Only the brute-force oracle searches it."""
     a, b2, mu, z = params.a, params.b2, params.mu, params.z
 
     def band(lam):
@@ -320,11 +349,10 @@ def _numeric_solution(params: MarketParams, result: dict, extra: dict) -> Soluti
     p = inverse_price(lam, l, params)
     if extra.get("model") == "mm1":
         attained = mm1_ontime_prob(lam, params.mu, l)
-        binding = abs(l - z / (params.mu - lam)) <= 1e-9 * (1.0 + l)
+        branch = _mm1_quote_level(params, extra["costs_on"])[1]
     else:
         attained = mm1k_ontime_prob(lam, params.mu, params.K, l)
-        binding = attained <= params.s + 1e-6
-    branch = SERVICE_BINDING if binding else PENALTY_BINDING
+        branch = SERVICE_BINDING if attained <= params.s + 1e-6 else PENALTY_BINDING
     return Solution(
         policy=Policy(p=p, l=l, lam=lam),
         profit=result["profit"],
@@ -410,12 +438,8 @@ def solve_mm1k_numeric(params: MarketParams, config: SolverConfig | None = None)
     """Optimal policy of the finite-buffer system by a search over lambda.
 
     The quote at each lambda is pinned by pinned_quote, so the grid search
-    runs on a zero-width band.  All config.refine_iterations rounds run:
-    in one dimension a round often finds no better rate only because the
-    optimum lies within its spacing of the incumbent, so stopping on a
-    small improvement (config.tolerance) would stop short.  Declared
-    infeasible when no grid point attains nonnegative price, the service
-    level, and nonnegative profit.
+    runs on a zero-width band.  Declared infeasible when no grid point
+    attains nonnegative price, the service level, and nonnegative profit.
     """
     config = config or SolverConfig()
 
@@ -423,7 +447,7 @@ def solve_mm1k_numeric(params: MarketParams, config: SolverConfig | None = None)
         quote = pinned_quote(lam, params)
         return quote, quote
 
-    result = _search(_mm1k_objective(params), 0.0, params.a, band, replace(config, tolerance=0.0))
+    result = _search(_mm1k_objective(params), 0.0, params.a, band, config)
     return _numeric_solution(params, result, {"model": "mm1k", "K": params.K})
 
 
@@ -447,35 +471,28 @@ def mm1_profit(policy: Policy, params: MarketParams, costs_on: bool) -> float:
 
 
 def solve_mm1_baseline(params: MarketParams, costs_on: bool, config: SolverConfig | None = None) -> Solution:
-    """Optimal policy of the accept-all M/M/1 benchmark.
+    """Optimal policy of the accept-all M/M/1 benchmark by a search over lambda.
 
-    Without costs the service-level quote l = z/(mu-lambda) binds and the
-    search is one-dimensional in lambda; with costs the quote is searched
-    between the service bound and the zero-price bound.  The search stays
-    a stability margin away from lambda = mu.
+    The quote at each lambda is pinned at ln(x)/(mu - lambda) (see
+    _mm1_quote_level), so the grid search runs on a zero-width band, a
+    stability margin away from lambda = mu.
     """
     config = config or SolverConfig()
-    a, b1, b2, m = params.a, params.b1, params.b2, params.m
-    mu, F, c, z = params.mu, params.F, params.c, params.z
-    lam_hi = min(a, mu - STABILITY_MARGIN)
+    mu, z = params.mu, params.z
+    lam_hi = min(params.a, mu - STABILITY_MARGIN)
     extra = {"model": "mm1", "costs_on": costs_on}
     if lam_hi <= 0:
         return _numeric_solution(params, {"found": False, "profit": -np.inf,
                                           "lam": 0.0, "l": z / mu,
                                           "evaluations": 0, "refine_rounds": 0,
                                           "round_profits": []}, extra)
+    log_x = _mm1_quote_level(params, costs_on)[0]
 
-    band = _mm1_band(params, costs_on)
+    def band(lam):
+        quote = log_x / (mu - lam)
+        return quote, quote
 
-    def objective(lam, L):
-        p = (a - b2 * L - lam) / b1
-        profit = lam * (p - m)
-        if costs_on:
-            slack = mu - lam
-            profit = profit - F * lam / slack - c * lam * np.exp(-slack * L) / slack
-        return np.where(p >= -PRICE_SLACK, profit, -np.inf)
-
-    result = _search(objective, 0.0, lam_hi, band, config)
+    result = _search(_mm1_objective(params, costs_on), 0.0, lam_hi, band, config)
     return _numeric_solution(params, result, extra)
 
 
@@ -487,10 +504,10 @@ def brute_force_oracle(params: MarketParams, model: str, resolution: int = 160,
     closed-form module, so agreement is evidence rather than tautology.
     model picks the system: single-slot with or without costs, accept-all
     benchmark with or without costs, or the general finite-buffer system.
-    A fixed 10-round refinement with no early stop makes the oracle's
-    accuracy a function of resolution alone.  sweep_price additionally
-    frees the price instead of riding the binding demand constraint
-    (coarse pass only; for spot checks on small instances).
+    A fixed 10-round refinement makes the oracle's accuracy a function of
+    resolution alone.  sweep_price additionally frees the price instead of
+    riding the binding demand constraint (coarse pass only; for spot
+    checks on small instances).
     """
     if model not in ORACLE_MODELS:
         raise ValueError(f"unknown oracle model {model!r}; pick one of {ORACLE_MODELS}")
@@ -527,16 +544,8 @@ def brute_force_oracle(params: MarketParams, model: str, resolution: int = 160,
                 return np.where(p >= -PRICE_SLACK, profit, -np.inf)
     else:
         lam_hi = min(a, mu - STABILITY_MARGIN)
-        costs = model == "mm1-with-costs"
-        band = _mm1_band(params, costs)
-
-        def objective(lam, L):
-            p = (a - b2 * L - lam) / b1
-            profit = lam * (p - m)
-            if costs:
-                slack = mu - lam
-                profit = profit - F * lam / slack - c * lam * np.exp(-slack * L) / slack
-            return np.where(p >= -PRICE_SLACK, profit, -np.inf)
+        band = _mm1_band(params, model == "mm1-with-costs")
+        objective = _mm1_objective(params, model == "mm1-with-costs")
 
     # Coarse l step: span of the widest band divided by the resolution.
     probe = np.linspace(0.0, lam_hi, 32)
@@ -547,11 +556,12 @@ def brute_force_oracle(params: MarketParams, model: str, resolution: int = 160,
         coarse_step_l=widest / (resolution - 1) if widest > 0 else None,
         refine_iterations=10,
         refine_shrink=0.25,
-        tolerance=0.0,
     )
     result = _search(objective, 0.0, lam_hi, band, config)
     extra = {"model": "mm1" if model.startswith("mm1-") else ("mm1k" if model == "mm1k" else "mm11"),
              "oracle": model, "resolution": resolution}
+    if extra["model"] == "mm1":
+        extra["costs_on"] = model == "mm1-with-costs"
     solution = _numeric_solution(params, result, extra)
 
     if sweep_price and solution.feasible:

@@ -90,3 +90,29 @@ def test_parallel_matches_serial():
     parallel = sweep(BASE, a_values=[30.0, 50.0], b2_values=[10.0, 20.0], costs_on=True, jobs=2)
     assert serial.gains == parallel.gains
     assert serial.to_csv() == parallel.to_csv()
+
+
+PUBLISHED_A = [30.0, 40.0, 50.0, 60.0, 70.0]
+PUBLISHED_B2 = [float(v) for v in range(5, 21)]
+
+
+@pytest.mark.parametrize("costs_on,s", [(False, 0.95), (True, 0.95), (True, 0.5)])
+def test_baseline_branch_matches_single_slot(costs_on, s):
+    # Both systems pin their quote at ln(x)/rate with the same
+    # x = max{1/(1-s), b1 c/b2}, so the branch agrees cell by cell.  The
+    # published grids (s = 0.95) are service-binding throughout; at s = 0.5
+    # every b2 < 20 is penalty-binding and b2 = 20 is the tie s_c = s.
+    table = sweep(BASE.with_updates(s=s), PUBLISHED_A, PUBLISHED_B2, costs_on=costs_on)
+    branches = [(rej.branch, acc.branch)
+                for rej_row, acc_row in zip(table.reject, table.accept)
+                for rej, acc in zip(rej_row, acc_row)]
+    assert all(rej == acc for rej, acc in branches)
+    if s == 0.5:
+        assert sum(acc == "penalty-binding" for _, acc in branches) == 75
+
+
+def test_tightest_published_costed_cell():
+    # a=40, b2=5 with costs is published as -13.35; a search that stops
+    # refining once a round finds no better rate reads -13.344998 here
+    table = sweep(BASE, a_values=[40.0], b2_values=[5.0], costs_on=True)
+    assert table.cell(40.0, 5.0) == pytest.approx(-13.35, abs=0.005)

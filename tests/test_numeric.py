@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leadquote import (
     MarketParams,
@@ -24,6 +26,7 @@ from leadquote import (
     solve_mm1_baseline,
     solve_mm1k_numeric,
 )
+from leadquote.certify import random_params
 from leadquote.numeric import pinned_quote
 from leadquote.queueing import erlang_quantile_bracket
 
@@ -38,7 +41,6 @@ BASE = MarketParams(a=30.0, b1=4.0, b2=20.0, mu=10.0, m=5.0, s=0.95, F=2.0, c=10
         dict(refine_iterations=-1),
         dict(refine_shrink=0.0),
         dict(refine_shrink=1.0),
-        dict(tolerance=-1e-9),
     ],
 )
 def test_solver_config_rejects(bad):
@@ -170,8 +172,8 @@ def test_numeric_single_slot_matches_closed_form():
     default = solve_mm1k_numeric(BASE)
     assert default.feasible
     assert default.profit == pytest.approx(closed.profit, rel=1e-5)
-    # with early stopping disabled the grid pins the optimum much harder
-    tight = solve_mm1k_numeric(BASE, SolverConfig(refine_iterations=16, tolerance=0.0))
+    # with more refinement rounds the grid pins the optimum much harder
+    tight = solve_mm1k_numeric(BASE, SolverConfig(refine_iterations=16))
     assert tight.profit == pytest.approx(closed.profit, abs=1e-8)
     assert tight.policy.lam == pytest.approx(closed.policy.lam, abs=1e-6)
     assert tight.policy.l == pytest.approx(closed.policy.l, abs=1e-8)
@@ -243,6 +245,40 @@ def test_accept_all_baseline_respects_stability():
     big = MarketParams(a=200.0, b1=4.0, b2=5.0, mu=10.0, m=5.0, s=0.95, F=2.0, c=10.0, K=1)
     sol = solve_mm1_baseline(big, costs_on=True)
     assert sol.policy.lam <= big.mu - 1e-6 + 1e-15
+
+
+def _pinned_mm1_quote(params, lam):
+    # ln(x)/(mu - lam), x = max{1/(1-s), b1 c/b2}; c = 0 leaves the service
+    # quote, b2 = 0 stretches it to exp(-(mu - lam) l) = (1-s) * 1e-12
+    slack = params.mu - lam
+    if params.c == 0:
+        return params.z / slack
+    if params.b2 == 0:
+        return (params.z + math.log(1e12)) / slack
+    return math.log(max(1.0 / (1.0 - params.s), params.b1 * params.c / params.b2)) / slack
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), zeroed=st.sampled_from([None, None, "b2", "c"]))
+def test_costed_baseline_pins_the_best_quote(seed, zeroed):
+    params = random_params(np.random.default_rng(seed), costs_on=True)
+    if zeroed:
+        params = params.with_updates(**{zeroed: 0.0})
+    sol = solve_mm1_baseline(params, costs_on=True)
+    oracle = brute_force_oracle(params, "mm1-with-costs", resolution=160)
+    assert sol.profit >= oracle.profit - 1e-9 * abs(oracle.profit)
+    if not sol.feasible:
+        return
+    lam, quote = sol.policy.lam, sol.policy.l
+    assert quote == pytest.approx(_pinned_mm1_quote(params, lam), rel=1e-12)
+    # no quote in the band beats the pinned one at the returned rate
+    slack = params.mu - lam
+    lo = params.z / slack
+    hi = (params.a - lam) / params.b2 if params.b2 > 0 else lo + math.log(1e12) / slack
+    for l in np.linspace(lo, max(hi, lo), 2001):
+        price = (params.a - params.b2 * l - lam) / params.b1
+        scanned = mm1_profit(Policy(p=price, l=float(l), lam=lam), params, costs_on=True)
+        assert scanned <= sol.profit + 1e-12 * (1.0 + abs(sol.profit))
 
 
 def test_mm1_profit_guards():
