@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -175,6 +176,8 @@ def _parse_policy(text: str) -> Policy:
         p, l, lam = (float(tok) for tok in parts)
     except ValueError as exc:
         raise ConfigError(f"bad policy {text!r}: {exc}") from exc
+    if not all(math.isfinite(v) for v in (p, l, lam)):
+        raise ConfigError(f"bad policy {text!r}: every field must be finite")
     if l < 0 or lam <= 0:
         raise ConfigError("policy needs leadtime >= 0 and lambda > 0")
     return Policy(p=p, l=l, lam=lam)
@@ -218,8 +221,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("--jobs must be >= 1")
         cfg.jobs = args.jobs
     if command == "simulate":
-        if args.horizon <= 0:
-            raise ConfigError("--horizon must be positive")
+        if not (math.isfinite(args.horizon) and args.horizon > 0):
+            raise ConfigError("--horizon must be positive and finite")
         cfg.horizon = args.horizon
         cfg.seed = args.seed
         if args.policy is not None:

@@ -1,11 +1,11 @@
 """Discrete-event simulation of the finite-buffer single-server queue.
 
-FCFS with one server needs no event calendar: an arrival is admitted when
-fewer than K departure times of in-system jobs exceed it, and its own
-departure is max(arrival, last pending departure) + service.  Two
-independent RNG streams (arrivals, services) are spawned from one seed, so
-runs are reproducible bit-for-bit and the streams stay aligned regardless
-of blocking decisions.
+FCFS with one server needs no event calendar: admitted departures are
+non-decreasing, so an arrival at t is admitted when the K-th most recent
+departure is at or before t, and it departs at max(t, latest departure)
++ service.  Two independent RNG streams (arrivals, services) are spawned
+from one seed, so runs are reproducible bit-for-bit and the streams stay
+aligned regardless of blocking decisions.
 
 Estimates are taken over the post-warm-up window (first 5% of the horizon
 discarded): counts are classified by arrival time, the time-average number
@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain, count
 
 import numpy as np
 from scipy import stats
@@ -116,7 +116,9 @@ class ValidationVerdict:
 
 def _drain(policy: Policy, params: MarketParams, horizon: float, seed: int):
     """Run the event loop; returns admitted (arrival, departure) arrays and
-    blocked arrival times."""
+    blocked arrival times.  Arrival times come a chunk at a time from a
+    sequential cumsum, which matches t += gap bit for bit, and an arrival
+    is blocked when the K-th most recent departure is later than it."""
     lam, K = policy.lam, params.K
     if lam <= 0:
         raise ValueError("simulation needs a positive demand rate")
@@ -124,37 +126,28 @@ def _drain(policy: Policy, params: MarketParams, horizon: float, seed: int):
         raise ValueError("simulation horizon must be positive")
     root = np.random.SeedSequence(seed)
     arr_rng, svc_rng = (np.random.default_rng(s) for s in root.spawn(2))
+    next_service = chain.from_iterable(
+        svc_rng.exponential(1.0 / params.mu, _CHUNK).tolist() for _ in count()).__next__
 
     arrivals = array("d")
     departures = array("d")
     blocked = array("d")
-    pending = deque()  # departure times of jobs in system, FIFO
-
-    svc_chunk = svc_rng.exponential(1.0 / params.mu, _CHUNK)
-    svc_i = 0
-    t = 0.0
-    while True:
-        for gap in arr_rng.exponential(1.0 / lam, _CHUNK):
-            t += gap
-            if t >= horizon:
-                break
-            while pending and pending[0] <= t:
-                pending.popleft()
-            if len(pending) >= K:
-                blocked.append(t)
-                continue
-            if svc_i == len(svc_chunk):
-                svc_chunk = svc_rng.exponential(1.0 / params.mu, _CHUNK)
-                svc_i = 0
-            service = svc_chunk[svc_i]
-            svc_i += 1
-            start = pending[-1] if pending else t
-            done = start + service
-            pending.append(done)
-            arrivals.append(t)
-            departures.append(done)
-        if t >= horizon:
-            break
+    admit, depart, block = arrivals.append, departures.append, blocked.append
+    last = 0.0  # latest departure so far
+    t, cut = 0.0, _CHUNK
+    while cut == _CHUNK:  # the last chunk ended before the horizon; t is its end
+        times = np.cumsum(np.concatenate(([t], arr_rng.exponential(1.0 / lam, _CHUNK))))[1:]
+        cut = int(np.searchsorted(times, horizon))
+        for t in times[:cut].tolist():
+            try:
+                if departures[-K] > t:
+                    block(t)
+                    continue
+            except IndexError:
+                pass  # fewer than K jobs admitted so far
+            last = (last if last > t else t) + next_service()
+            admit(t)
+            depart(last)
     return (
         np.frombuffer(arrivals, dtype=float),
         np.frombuffer(departures, dtype=float),
@@ -168,6 +161,17 @@ def _batch_ci(values: np.ndarray) -> float:
     return float(tcrit * spread / math.sqrt(len(values)))
 
 
+def _batch_areas(arr: np.ndarray, dep: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Integral of the number in system over each batch.  Arrivals and
+    departures are both sorted, so the jobs in system during a batch (those
+    departing after its left edge and arriving before its right edge) form
+    one contiguous index range."""
+    first = np.searchsorted(dep, edges[:-1], "right")
+    stop = np.searchsorted(arr, edges[1:])
+    return np.array([float((np.minimum(dep[i:k], hi) - np.maximum(arr[i:k], lo)).sum())
+                     for i, k, lo, hi in zip(first, stop, edges[:-1], edges[1:])])
+
+
 def simulate(policy: Policy, params: MarketParams, horizon: float, seed: int = 0) -> SimReport:
     """Simulate the finite-buffer queue under a fixed policy.
 
@@ -176,19 +180,21 @@ def simulate(policy: Policy, params: MarketParams, horizon: float, seed: int = 0
     structure with empirical factors (throughput * P(late) * mean sojourn
     for the lateness exposure) and the exact per-job lateness (W - l)+.
     """
+    if not all(math.isfinite(v) for v in (policy.p, policy.l, policy.lam, horizon)):
+        raise ValueError("simulation needs a finite policy and horizon")
     arr, dep, blk = _drain(policy, params, horizon, seed)
     t0 = WARMUP_FRACTION * horizon
     window = horizon - t0
 
-    in_adm = arr >= t0
-    in_blk = blk >= t0
-    n_adm = int(in_adm.sum())
-    n_blocked = int(in_blk.sum())
+    # All three arrays are sorted, so the window is a tail slice of each.
+    first_adm = np.searchsorted(arr, t0)
+    a_w, d_w = arr[first_adm:], dep[first_adm:]
+    blk_w = blk[np.searchsorted(blk, t0):]
+    n_adm = len(a_w)
+    n_blocked = len(blk_w)
     n_arrivals = n_adm + n_blocked
     if n_arrivals == 0:
         raise ValueError("no arrivals in the measurement window; enlarge the horizon")
-    a_w = arr[in_adm]
-    d_w = dep[in_adm]
     n_served = int((d_w <= horizon).sum())
     n_in_system_end = n_adm - n_served
 
@@ -205,7 +211,7 @@ def simulate(policy: Policy, params: MarketParams, horizon: float, seed: int = 0
     edges = np.linspace(t0, horizon, N_BATCHES + 1)
     width = window / N_BATCHES
     adm_bin = np.clip(((a_w - t0) / width).astype(int), 0, N_BATCHES - 1)
-    blk_bin = np.clip(((blk[in_blk] - t0) / width).astype(int), 0, N_BATCHES - 1)
+    blk_bin = np.clip(((blk_w - t0) / width).astype(int), 0, N_BATCHES - 1)
     adm_counts = np.bincount(adm_bin, minlength=N_BATCHES).astype(float)
     blk_counts = np.bincount(blk_bin, minlength=N_BATCHES).astype(float)
     all_counts = adm_counts + blk_counts
@@ -217,11 +223,7 @@ def simulate(policy: Policy, params: MarketParams, horizon: float, seed: int = 0
     ontime_sums = np.bincount(adm_bin, weights=(sojourn <= policy.l).astype(float),
                               minlength=N_BATCHES)
     excess_sums = np.bincount(adm_bin, weights=late_excess, minlength=N_BATCHES)
-    # One pass per batch keeps memory flat at O(n_jobs).
-    areas = np.empty(N_BATCHES)
-    for j in range(N_BATCHES):
-        seg = np.minimum(dep, edges[j + 1]) - np.maximum(arr, edges[j])
-        areas[j] = float(np.clip(seg, 0.0, None).sum())
+    areas = _batch_areas(arr, dep, edges)
 
     b_block = blk_counts / all_counts
     b_number = areas / width

@@ -197,6 +197,18 @@ def test_simulate_rejects_bad_policy(capsys):
     assert main(["simulate", "--horizon", "-5"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv", [
+    ["--horizon", "nan"],
+    ["--horizon", "inf"],
+    ["--policy", "9,0.3,inf"],
+    ["--policy", "9,nan,5"],
+    ["--policy", "nan,0.3,5"],
+])
+def test_simulate_rejects_non_finite_inputs(capsys, argv):
+    assert main(["simulate", *argv]) == EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
+
+
 def test_validate_prints_one_line_per_check(capsys, monkeypatch):
     import leadquote.cli as cli
 

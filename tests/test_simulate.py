@@ -3,8 +3,14 @@ and 3-sigma agreement with the steady-state formulas at short horizons.
 The long-horizon statistical battery lives in the acceptance suite."""
 
 import json
+import math
+from array import array
+from collections import deque
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leadquote import (
     MarketParams,
@@ -13,6 +19,7 @@ from leadquote import (
     simulate,
     validate,
 )
+from leadquote.simulate import _CHUNK, N_BATCHES, WARMUP_FRACTION, _batch_areas, _drain
 
 PARAMS_K3 = MarketParams(a=30.0, b1=4.0, b2=20.0, mu=10.0, m=5.0, s=0.95, F=2.0, c=10.0, K=3)
 POLICY_K3 = Policy(p=9.0, l=0.3, lam=5.0)
@@ -106,3 +113,119 @@ def test_report_serializes_to_json(report_k3):
     assert back["seed"] == 11 and back["horizon"] == 4000.0
     verdict = validate(report_k3, PARAMS_K3, POLICY_K3)
     json.dumps(verdict.to_dict())
+
+
+@pytest.mark.parametrize("policy, horizon", [
+    (POLICY_K3, math.nan),
+    (POLICY_K3, math.inf),
+    (Policy(p=9.0, l=0.3, lam=math.inf), 100.0),
+    (Policy(p=9.0, l=math.nan, lam=5.0), 100.0),
+    (Policy(p=math.nan, l=0.3, lam=5.0), 100.0),
+])
+def test_rejects_non_finite_inputs(policy, horizon):
+    with pytest.raises(ValueError, match="finite"):
+        simulate(policy, PARAMS_K3, horizon=horizon)
+
+
+def _reference_drain(policy: Policy, params: MarketParams, horizon: float, seed: int):
+    """Test oracle: the event loop as first written, with a FIFO deque of
+    the departure times of the jobs in system."""
+    lam, K = policy.lam, params.K
+    if lam <= 0:
+        raise ValueError("simulation needs a positive demand rate")
+    if horizon <= 0:
+        raise ValueError("simulation horizon must be positive")
+    root = np.random.SeedSequence(seed)
+    arr_rng, svc_rng = (np.random.default_rng(s) for s in root.spawn(2))
+
+    arrivals = array("d")
+    departures = array("d")
+    blocked = array("d")
+    pending = deque()  # departure times of jobs in system, FIFO
+
+    svc_chunk = svc_rng.exponential(1.0 / params.mu, _CHUNK)
+    svc_i = 0
+    t = 0.0
+    while True:
+        for gap in arr_rng.exponential(1.0 / lam, _CHUNK):
+            t += gap
+            if t >= horizon:
+                break
+            while pending and pending[0] <= t:
+                pending.popleft()
+            if len(pending) >= K:
+                blocked.append(t)
+                continue
+            if svc_i == len(svc_chunk):
+                svc_chunk = svc_rng.exponential(1.0 / params.mu, _CHUNK)
+                svc_i = 0
+            service = svc_chunk[svc_i]
+            svc_i += 1
+            start = pending[-1] if pending else t
+            done = start + service
+            pending.append(done)
+            arrivals.append(t)
+            departures.append(done)
+        if t >= horizon:
+            break
+    return (
+        np.frombuffer(arrivals, dtype=float),
+        np.frombuffer(departures, dtype=float),
+        np.frombuffer(blocked, dtype=float),
+    )
+
+
+def _assert_same_paths(policy, params, horizon, seed):
+    fast = _drain(policy, params, horizon, seed)
+    slow = _reference_drain(policy, params, horizon, seed)
+    for got, want in zip(fast, slow):
+        assert np.array_equal(got, want)
+    return fast
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 10, 200])
+@pytest.mark.parametrize("lam", [3.0, 15.0])  # rho = 0.3 and 1.5
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_drain_matches_deque_loop(K, lam, seed):
+    # 500 time units hold well under one chunk of arrivals
+    arr, _, blk = _assert_same_paths(Policy(p=9.0, l=0.3, lam=lam),
+                                     PARAMS_K3.with_updates(K=K), 500.0, seed)
+    assert len(arr) + len(blk) < _CHUNK
+
+
+def test_drain_matches_deque_loop_across_chunks():
+    arr, _, blk = _assert_same_paths(Policy(p=9.0, l=0.3, lam=20.0), PARAMS_K3, 12_000.0, 4)
+    assert len(arr) + len(blk) >= 3 * _CHUNK  # arrival chunks
+    assert len(arr) > _CHUNK  # service chunks
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(lam=st.floats(0.1, 30.0), mu=st.floats(0.5, 20.0),
+       K=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+def test_drain_matches_deque_loop_property(lam, mu, K, seed):
+    _assert_same_paths(Policy(p=9.0, l=0.3, lam=lam),
+                       PARAMS_K3.with_updates(mu=mu, K=K), 50.0, seed)
+
+
+def _window_areas(arr, dep, horizon):
+    edges = np.linspace(WARMUP_FRACTION * horizon, horizon, N_BATCHES + 1)
+    return _batch_areas(arr, dep, edges), edges
+
+
+def test_batch_areas_sum_to_window_area():
+    horizon = 4000.0
+    arr, dep, _ = _drain(POLICY_K3, PARAMS_K3, horizon, 11)
+    areas, edges = _window_areas(arr, dep, horizon)
+    overlap = np.minimum(dep, horizon) - np.maximum(arr, edges[0])
+    assert areas.sum() == pytest.approx(overlap[overlap > 0].sum(), rel=1e-12)
+
+
+def test_batch_areas_match_full_array_formula_when_jobs_span_batches():
+    horizon = 200.0
+    pol, params = Policy(p=9.0, l=0.3, lam=15.0), PARAMS_K3.with_updates(K=200)
+    arr, dep, _ = _drain(pol, params, horizon, 3)
+    areas, edges = _window_areas(arr, dep, horizon)
+    assert float(np.max(dep - arr)) > 2.0 * (edges[1] - edges[0])
+    for j in range(N_BATCHES):
+        seg = np.minimum(dep, edges[j + 1]) - np.maximum(arr, edges[j])
+        assert areas[j] == pytest.approx(np.clip(seg, 0.0, None).sum(), rel=1e-12)
