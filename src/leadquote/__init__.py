@@ -19,12 +19,10 @@ from .market import (
     inverse_price,
 )
 from .queueing import (
-    QueueMetrics,
     mm1_ontime_prob,
     mm1k_blocking,
     mm1k_mean_number,
     mm1k_mean_sojourn,
-    mm1k_metrics,
     mm1k_ontime_prob,
     mm1k_throughput,
 )
@@ -38,7 +36,6 @@ from .closed_form import (
     solve_mm11_with_costs,
 )
 from .numeric import (
-    SolverConfig,
     brute_force_oracle,
     min_leadtime_for_service,
     mm1_profit,
@@ -66,12 +63,10 @@ __all__ = [
     "feasible_no_costs",
     "feasible_with_costs",
     "inverse_price",
-    "QueueMetrics",
     "mm1_ontime_prob",
     "mm1k_blocking",
     "mm1k_mean_number",
     "mm1k_mean_sojourn",
-    "mm1k_metrics",
     "mm1k_ontime_prob",
     "mm1k_throughput",
     "PENALTY_BINDING",
@@ -81,7 +76,6 @@ __all__ = [
     "mm11_profit",
     "solve_mm11_no_costs",
     "solve_mm11_with_costs",
-    "SolverConfig",
     "brute_force_oracle",
     "min_leadtime_for_service",
     "mm1_profit",

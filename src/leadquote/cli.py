@@ -65,7 +65,6 @@ class RunConfig:
     b2_values: list = field(default_factory=lambda: list(SWEEP_B2_DEFAULT))
     out: str | None = None
     timestamp: bool = True
-    jobs: int = 1
     horizon: float = 2000.0
     seed: int = 0
     policy: Policy | None = None
@@ -109,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--b2-values", type=str, default=None,
                          help="comma-separated b2 grid (default 5,...,20)")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for the grid (default 1)")
+                         help="accepted for compatibility; must be >= 1, and cells "
+                              "always run in this process")
 
     p_sim = subs.add_parser("simulate", help="simulate the finite-buffer queue")
     _add_param_flags(p_sim)
@@ -219,7 +219,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             cfg.b2_values = _parse_values(args.b2_values, "b2")
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
-        cfg.jobs = args.jobs
     if command == "simulate":
         if not (math.isfinite(args.horizon) and args.horizon > 0):
             raise ConfigError("--horizon must be positive and finite")
@@ -279,7 +278,7 @@ def _run_solve(config: RunConfig) -> int:
 
 def _run_sweep(config: RunConfig) -> int:
     table = sweep(config.params, config.a_values, config.b2_values,
-                  costs_on=config.costs_on, jobs=config.jobs)
+                  costs_on=config.costs_on)
     doc = _stamp({"command": "sweep", "table": table.to_dict()}, config)
     if config.out:
         base = Path(config.out)

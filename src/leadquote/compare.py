@@ -9,12 +9,11 @@ Tables are laid out rows = b2 descending, columns = a ascending.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .closed_form import Solution, solve_mm11_no_costs, solve_mm11_with_costs
 from .market import MarketParams
-from .numeric import SolverConfig, solve_mm1_baseline
+from .numeric import solve_mm1_baseline
 
 
 def relative_gain(profit_reject: float, profit_accept: float) -> float:
@@ -86,43 +85,21 @@ class GainTable:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _solve_cell(args):
-    base_dict, a, b2, costs_on, config = args
-    params = MarketParams.from_dict(base_dict).with_updates(a=a, b2=b2, K=1)
-    if costs_on:
-        rej = solve_mm11_with_costs(params)
-    else:
-        rej = solve_mm11_no_costs(params)
-    acc = solve_mm1_baseline(params, costs_on=costs_on, config=config)
-    return rej, acc
-
-
-def sweep(base: MarketParams, a_values, b2_values, costs_on: bool,
-          config: SolverConfig | None = None, jobs: int = 1) -> GainTable:
+def sweep(base: MarketParams, a_values, b2_values, costs_on: bool, jobs: int = 1) -> GainTable:
     """Solve both systems on the (a, b2) grid and tabulate relative gains.
 
-    jobs > 1 farms cells out to worker processes; results are identical to
-    the serial path since every cell is independent and deterministic.
+    Cells always run one after another in this process; jobs is accepted
+    for callers that pass it and changes nothing.
     """
     a_sorted = sorted(float(a) for a in a_values)
     b2_sorted = sorted((float(b) for b in b2_values), reverse=True)
-    tasks = [
-        (base.to_dict(), a, b2, costs_on, config)
-        for b2 in b2_sorted
-        for a in a_sorted
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_solve_cell, tasks, chunksize=4))
-    else:
-        results = [_solve_cell(t) for t in tasks]
-
-    n_a = len(a_sorted)
     gains, rej_rows, acc_rows = [], [], []
-    for i, b2 in enumerate(b2_sorted):
+    for b2 in b2_sorted:
         g_row, r_row, a_row = [], [], []
-        for j in range(n_a):
-            rej, acc = results[i * n_a + j]
+        for a in a_sorted:
+            params = base.with_updates(a=a, b2=b2, K=1)
+            rej = solve_mm11_with_costs(params) if costs_on else solve_mm11_no_costs(params)
+            acc = solve_mm1_baseline(params, costs_on=costs_on)
             if rej.feasible and acc.feasible and acc.profit > 0:
                 g_row.append(relative_gain(rej.profit, acc.profit))
             else:

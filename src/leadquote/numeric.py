@@ -1,10 +1,11 @@
 """Numeric solvers: the finite-buffer profit problem, accept-all
 baselines, and a brute-force oracle for certifying the closed forms.
 
-All searches share one two-phase engine: a dense coarse grid followed by
-shrinking local refinements around the incumbent, over lambda and u in
-[0, 1], which places the quote in a per-lambda band [lo, hi] and so keeps
-the search box rectangular.
+All searches share one two-phase engine, _search: a dense coarse grid
+followed by shrinking local refinements around the incumbent, over lambda
+and u in [0, 1], which places the quote in a per-lambda band [lo, hi] and
+so keeps the search box rectangular.  The solvers run it with fixed grid
+constants; the oracle sets its steps from its resolution.
 
 The solvers pin the quote as a function of lambda, so the band has zero
 width and they search lambda alone.  For the accept-all M/M/1 benchmark
@@ -16,8 +17,8 @@ sojourn density, so it is positive on one interval at most and the best
 quote is lo or that interval's right end (clipped to hi), found by Newton
 steps on log g.  lo, the service-level minimum, is a bracketed Newton
 search on the on-time probability.  Only the brute-force oracle searches
-the full band, up to the zero-price bound (or a penalty-elimination cap
-when demand ignores lead time).
+the full band (_oracle_band), up to the zero-price bound (or a
+penalty-elimination cap when demand ignores lead time).
 
 Tie-breaking is deterministic: smallest lambda, then smallest quote, and
 the incumbent is only replaced on strict improvement, so results do not
@@ -28,7 +29,6 @@ refinement rounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +58,12 @@ SERVICE_SLACK = 1e-9
 # M/M/1 baselines never evaluate closer to instability than this.
 STABILITY_MARGIN = 1e-6
 
+# The solvers' lambda search: a coarse grid of _COARSE_POINTS intervals,
+# then _REFINE_ROUNDS local rounds, each shrinking the window by
+# _REFINE_SHRINK.
 _COARSE_POINTS = 400
+_REFINE_ROUNDS = 12
+_REFINE_SHRINK = 0.25
 
 # Quote accuracy of the Newton searches, and a cap on their iterations;
 # they stop on a bracket width or a step size long before the cap.
@@ -74,32 +79,6 @@ ORACLE_MODELS = (
 )
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Knobs of the two-phase grid search.
-
-    coarse_step_lambda / coarse_step_l: coarse grid spacing; None picks
-    span/400 (the quote step only matters on a band of nonzero width,
-    which only the brute-force oracle searches).  All refine_iterations
-    rounds run, each shrinking the window by refine_shrink.
-    """
-
-    coarse_step_lambda: float | None = None
-    coarse_step_l: float | None = None
-    refine_iterations: int = 12
-    refine_shrink: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.coarse_step_lambda is not None and not self.coarse_step_lambda > 0:
-            raise ValueError("coarse_step_lambda must be positive")
-        if self.coarse_step_l is not None and not self.coarse_step_l > 0:
-            raise ValueError("coarse_step_l must be positive")
-        if self.refine_iterations < 0:
-            raise ValueError("refine_iterations must be >= 0")
-        if not 0.0 < self.refine_shrink < 1.0:
-            raise ValueError("refine_shrink must lie in (0, 1)")
-
-
 def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     if hi <= lo:
         return np.array([lo])
@@ -107,29 +86,30 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     return np.linspace(lo, hi, max(n, 2))
 
 
-def _search(objective, lam_lo, lam_hi, band, config: SolverConfig):
-    """Maximize objective(lam, l) over the banded box; returns a result dict.
+def _search(objective, lam_hi, band, rounds=_REFINE_ROUNDS, step_lam=None, step_l=None):
+    """Maximize objective(lam, l) over lam in [0, lam_hi] and l in band(lam).
 
     band(lam) returns the quote band (lo, hi) for a vector of arrival rates
     and is called once per vector.  objective takes broadcastable arrays
     (lam as a column, l as a matrix) and returns profits with -inf marking
-    infeasible points.  Every refinement round runs: in one dimension a
-    round often finds no better rate only because the optimum lies within
-    its spacing of the incumbent, so stopping on a small improvement would
-    stop short.
+    infeasible points.  The coarse steps default to span/_COARSE_POINTS
+    (the quote step only matters on a band of nonzero width, which only
+    the brute-force oracle searches).  Every refinement round runs: in one
+    dimension a round often finds no better rate only because the optimum
+    lies within its spacing of the incumbent, so stopping on a small
+    improvement would stop short.
     """
-    lam_span = max(lam_hi - lam_lo, 0.0)
-    step_lam = config.coarse_step_lambda or (lam_span / _COARSE_POINTS if lam_span > 0 else 1.0)
-    lam = _axis(lam_lo, lam_hi, step_lam)
+    step_lam = step_lam or (lam_hi / _COARSE_POINTS if lam_hi > 0 else 1.0)
+    lam = _axis(0.0, lam_hi, step_lam)
     lo, hi = band(lam)
     spans = np.maximum(hi - lo, 0.0)
     max_span = float(spans.max()) if spans.size else 0.0
-    step_l = config.coarse_step_l or (max_span / _COARSE_POINTS if max_span > 0 else 1.0)
+    step_l = step_l or (max_span / _COARSE_POINTS if max_span > 0 else 1.0)
     n_u = int(math.ceil(max_span / step_l)) + 1 if max_span > 0 else 1
     u = np.linspace(0.0, 1.0, max(n_u, 1))
 
     evals = 0
-    best = {"profit": -np.inf, "lam": lam_lo, "l": float(lo[0]), "u": 0.0}
+    best = {"profit": -np.inf, "lam": 0.0, "l": float(lo[0]), "u": 0.0}
 
     def consider(lam_vec, row_lo, row_hi, u_vec):
         nonlocal evals
@@ -153,12 +133,12 @@ def _search(objective, lam_lo, lam_hi, band, config: SolverConfig):
 
     w_lam = step_lam
     w_u = 1.0 / (len(u) - 1) if len(u) > 1 else 0.0
-    pts = max(int(round(2.0 / config.refine_shrink)) + 1, 3)
+    pts = int(round(2.0 / _REFINE_SHRINK)) + 1
     rounds_used = 0
-    for _ in range(config.refine_iterations):
+    for _ in range(rounds):
         if not np.isfinite(best["profit"]):
             break
-        lam_w = np.unique(np.clip(best["lam"] + w_lam * np.linspace(-1.0, 1.0, pts), lam_lo, lam_hi))
+        lam_w = np.unique(np.clip(best["lam"] + w_lam * np.linspace(-1.0, 1.0, pts), 0.0, lam_hi))
         if w_u > 0:
             u_w = np.unique(np.clip(best["u"] + w_u * np.linspace(-1.0, 1.0, pts), 0.0, 1.0))
         else:
@@ -166,8 +146,8 @@ def _search(objective, lam_lo, lam_hi, band, config: SolverConfig):
         consider(lam_w, *band(lam_w), u_w)
         rounds_used += 1
         round_profits.append(best["profit"])
-        w_lam *= config.refine_shrink
-        w_u *= config.refine_shrink
+        w_lam *= _REFINE_SHRINK
+        w_u *= _REFINE_SHRINK
 
     return {
         "lam": best["lam"],
@@ -274,21 +254,6 @@ def _leadtime_cap(lo, rate):
     return lo + math.log(1.0 / PENALTY_ELIMINATION) / rate
 
 
-def _mm1k_band(params: MarketParams):
-    """Full quote band of the finite-buffer system: the service-level
-    minimum up to the zero-price bound, or the penalty-elimination cap when
-    b2 = 0.  Only the brute-force oracle searches it."""
-    a, b2, mu = params.a, params.b2, params.mu
-
-    def band(lam):
-        lo = np.atleast_1d(min_leadtime_for_service(lam, params))
-        if b2 > 0:
-            return lo, np.maximum((a - np.asarray(lam, dtype=float)) / b2, lo)
-        return lo, _leadtime_cap(lo, mu)
-
-    return band
-
-
 def _mm1_quote_level(params: MarketParams, costs_on: bool):
     """ln(x) of the accept-all benchmark's best quote ln(x)/(mu - lambda),
     and its branch, by the single-slot rule (penalty-binding iff s_c > s).
@@ -316,24 +281,6 @@ def _mm1_objective(params: MarketParams, costs_on: bool):
         return np.where(p >= -PRICE_SLACK, profit, -np.inf)
 
     return objective
-
-
-def _mm1_band(params: MarketParams, costs_on: bool):
-    """Full quote band of the accept-all M/M/1 benchmark.  Without costs
-    the service quote z/(mu - lambda) binds, so the band has zero width.
-    Only the brute-force oracle searches it."""
-    a, b2, mu, z = params.a, params.b2, params.mu, params.z
-
-    def band(lam):
-        lam = np.asarray(lam, dtype=float)
-        lo = z / (mu - lam)
-        if not costs_on:
-            return lo, lo
-        if b2 > 0:
-            return lo, np.maximum((a - lam) / b2, lo)
-        return lo, lo + math.log(1.0 / PENALTY_ELIMINATION) / (mu - lam)
-
-    return band
 
 
 def _numeric_solution(params: MarketParams, result: dict, extra: dict) -> Solution:
@@ -434,20 +381,19 @@ def _penalty_quote(lam, lo, params: MarketParams):
     return quote
 
 
-def solve_mm1k_numeric(params: MarketParams, config: SolverConfig | None = None) -> Solution:
+def solve_mm1k_numeric(params: MarketParams) -> Solution:
     """Optimal policy of the finite-buffer system by a search over lambda.
 
     The quote at each lambda is pinned by pinned_quote, so the grid search
     runs on a zero-width band.  Declared infeasible when no grid point
     attains nonnegative price, the service level, and nonnegative profit.
     """
-    config = config or SolverConfig()
 
     def band(lam):
         quote = pinned_quote(lam, params)
         return quote, quote
 
-    result = _search(_mm1k_objective(params), 0.0, params.a, band, config)
+    result = _search(_mm1k_objective(params), params.a, band)
     return _numeric_solution(params, result, {"model": "mm1k", "K": params.K})
 
 
@@ -470,14 +416,13 @@ def mm1_profit(policy: Policy, params: MarketParams, costs_on: bool) -> float:
     return profit
 
 
-def solve_mm1_baseline(params: MarketParams, costs_on: bool, config: SolverConfig | None = None) -> Solution:
+def solve_mm1_baseline(params: MarketParams, costs_on: bool) -> Solution:
     """Optimal policy of the accept-all M/M/1 benchmark by a search over lambda.
 
     The quote at each lambda is pinned at ln(x)/(mu - lambda) (see
     _mm1_quote_level), so the grid search runs on a zero-width band, a
     stability margin away from lambda = mu.
     """
-    config = config or SolverConfig()
     mu, z = params.mu, params.z
     lam_hi = min(params.a, mu - STABILITY_MARGIN)
     extra = {"model": "mm1", "costs_on": costs_on}
@@ -492,122 +437,86 @@ def solve_mm1_baseline(params: MarketParams, costs_on: bool, config: SolverConfi
         quote = log_x / (mu - lam)
         return quote, quote
 
-    result = _search(_mm1_objective(params, costs_on), 0.0, lam_hi, band, config)
+    result = _search(_mm1_objective(params, costs_on), lam_hi, band)
     return _numeric_solution(params, result, extra)
 
 
-def brute_force_oracle(params: MarketParams, model: str, resolution: int = 160,
-                       sweep_price: bool = False) -> Solution:
+def _oracle_band(params: MarketParams, model: str):
+    """The oracle's search box for one model: the top of its lambda range
+    and its full quote band.  lo is the service-level minimum and hi the
+    zero-price bound, or the penalty-elimination cap when b2 = 0 (profit
+    never falls in l there).  Without costs the accept-all quote
+    z/(mu - lambda) binds, so that band has zero width.
+
+    Positive profit needs p > m, and an admitted sojourn is stochastically
+    at least Exp(mu), so every model quotes l >= z/mu; hence lambda stays
+    below a - b1 m - b2 z/mu.  Capping the range there, from market fields
+    alone, lets the coarse grid see thin regions of positive profit."""
+    a, b2, mu, z = params.a, params.b2, params.mu, params.z
+    lam_hi = max(a - params.b1 * params.m - b2 * z / mu, 0.0)
+    if model.startswith("mm1-"):
+        lam_hi = min(lam_hi, mu - STABILITY_MARGIN)
+
+    def band(lam):
+        lam = np.asarray(lam, dtype=float)
+        if model == "mm1k":
+            lo, rate = np.atleast_1d(min_leadtime_for_service(lam, params)), mu
+        elif model.startswith("mm11"):
+            lo, rate = np.full_like(lam, z / mu), mu
+        else:
+            lo, rate = z / (mu - lam), mu - lam
+            if model == "mm1-no-costs":
+                return lo, lo
+        if b2 > 0:
+            return lo, np.maximum((a - lam) / b2, lo)
+        return lo, _leadtime_cap(lo, rate)
+
+    return lam_hi, band
+
+
+def brute_force_oracle(params: MarketParams, model: str, resolution: int = 160) -> Solution:
     """Dense two-phase grid search used to certify the closed-form solvers.
 
     The objectives are written out inline here, independently of the
     closed-form module, so agreement is evidence rather than tautology.
     model picks the system: single-slot with or without costs, accept-all
     benchmark with or without costs, or the general finite-buffer system.
-    A fixed 10-round refinement makes the oracle's accuracy a function of
-    resolution alone.  sweep_price additionally frees the price instead of
-    riding the binding demand constraint (coarse pass only; for spot
-    checks on small instances).
+    The search covers the full quote band of _oracle_band, with coarse
+    steps of span/(resolution - 1) and a fixed 10-round refinement, so the
+    oracle's accuracy is a function of resolution alone.
     """
     if model not in ORACLE_MODELS:
         raise ValueError(f"unknown oracle model {model!r}; pick one of {ORACLE_MODELS}")
     if resolution < 100:
         raise ValueError("oracle resolution must be at least 100")
-    a, b1, b2, m = params.a, params.b1, params.b2, params.m
-    mu, F, c, z = params.mu, params.F, params.c, params.z
+    if model.startswith("mm11") and params.K != 1:
+        raise ValueError("single-slot oracle needs K = 1")
+    a, b1, b2, m, mu, F, c = params.a, params.b1, params.b2, params.m, params.mu, params.F, params.c
 
     if model == "mm1k":
-        lam_hi = a
-        band = _mm1k_band(params)
         objective = _mm1k_objective(params)
-    elif model.startswith("mm11"):
-        if params.K != 1:
-            raise ValueError("single-slot oracle needs K = 1")
-        lam_hi = a
-
-        def band(lam):
-            lam = np.asarray(lam, dtype=float)
-            lo = np.full_like(lam, z / mu)
-            if b2 > 0:
-                return lo, np.maximum((a - lam) / b2, z / mu)
-            return lo, np.full_like(lam, _leadtime_cap(z / mu, mu))
-
-        if model == "mm11-no-costs":
-            def objective(lam, L):
-                p = (a - b2 * L - lam) / b1
-                profit = lam * mu * (p - m) / (mu + lam)
-                return np.where(p >= -PRICE_SLACK, profit, -np.inf)
-        else:
-            def objective(lam, L):
-                p = (a - b2 * L - lam) / b1
-                profit = lam * (mu * (p - m) - F - c * np.exp(-mu * L)) / (mu + lam)
-                return np.where(p >= -PRICE_SLACK, profit, -np.inf)
+    elif model == "mm11-no-costs":
+        def objective(lam, L):
+            p = (a - b2 * L - lam) / b1
+            profit = lam * mu * (p - m) / (mu + lam)
+            return np.where(p >= -PRICE_SLACK, profit, -np.inf)
+    elif model == "mm11-with-costs":
+        def objective(lam, L):
+            p = (a - b2 * L - lam) / b1
+            profit = lam * (mu * (p - m) - F - c * np.exp(-mu * L)) / (mu + lam)
+            return np.where(p >= -PRICE_SLACK, profit, -np.inf)
     else:
-        lam_hi = min(a, mu - STABILITY_MARGIN)
-        band = _mm1_band(params, model == "mm1-with-costs")
         objective = _mm1_objective(params, model == "mm1-with-costs")
+    lam_hi, band = _oracle_band(params, model)
 
     # Coarse l step: span of the widest band divided by the resolution.
-    probe = np.linspace(0.0, lam_hi, 32)
-    probe_lo, probe_hi = band(probe)
+    probe_lo, probe_hi = band(np.linspace(0.0, lam_hi, 32))
     widest = float(np.max(np.maximum(probe_hi - probe_lo, 0.0)))
-    config = SolverConfig(
-        coarse_step_lambda=lam_hi / (resolution - 1) if lam_hi > 0 else 1.0,
-        coarse_step_l=widest / (resolution - 1) if widest > 0 else None,
-        refine_iterations=10,
-        refine_shrink=0.25,
-    )
-    result = _search(objective, 0.0, lam_hi, band, config)
+    result = _search(objective, lam_hi, band, rounds=10,
+                     step_lam=lam_hi / (resolution - 1) if lam_hi > 0 else 1.0,
+                     step_l=widest / (resolution - 1) if widest > 0 else None)
     extra = {"model": "mm1" if model.startswith("mm1-") else ("mm1k" if model == "mm1k" else "mm11"),
              "oracle": model, "resolution": resolution}
     if extra["model"] == "mm1":
         extra["costs_on"] = model == "mm1-with-costs"
-    solution = _numeric_solution(params, result, extra)
-
-    if sweep_price and solution.feasible:
-        swept = _price_sweep(params, model, band, lam_hi)
-        solution.diagnostics["price_sweep_profit"] = swept["profit"]
-        solution.diagnostics["price_sweep_p"] = swept["p"]
-        solution.diagnostics["price_sweep_binding_p"] = swept["binding_p"]
-    return solution
-
-
-def _price_sweep(params: MarketParams, model: str, band, lam_hi):
-    """Coarse 3-D sweep with the price freed and demand as an inequality.
-
-    Checks that the best free price sits on the binding demand constraint.
-    """
-    a, b1, b2, m = params.a, params.b1, params.b2, params.m
-    mu, F, c = params.mu, params.F, params.c
-    n = 60
-    lam = np.linspace(0.0, lam_hi, n)
-    lo, hi = band(lam)
-    u = np.linspace(0.0, 1.0, n)
-    L = lo[:, None] + np.maximum(hi - lo, 0.0)[:, None] * u[None, :]
-    p = np.linspace(0.0, a / b1, n)
-    lam3 = lam[:, None, None]
-    L3 = L[:, :, None]
-    p3 = p[None, None, :]
-    demand = a - b1 * p3 - b2 * L3
-    if model == "mm11-no-costs":
-        profit = lam3 * mu * (p3 - m) / (mu + lam3)
-    elif model == "mm11-with-costs":
-        profit = lam3 * (mu * (p3 - m) - F - c * np.exp(-mu * L3)) / (mu + lam3)
-    elif model == "mm1-no-costs":
-        profit = lam3 * (p3 - m) * np.ones_like(L3)
-    elif model == "mm1-with-costs":
-        slack = mu - lam3
-        profit = lam3 * (p3 - m) - F * lam3 / slack - c * lam3 * np.exp(-slack * L3) / slack
-    else:
-        raise ValueError("price sweep supports the single-slot and accept-all models")
-    profit = np.where(lam3 <= demand + PRICE_SLACK, profit, -np.inf)
-    flat = int(np.argmax(profit))
-    i, j, k = np.unravel_index(flat, profit.shape)
-    best_lam, best_l, best_p = float(lam[i]), float(L[i, j]), float(p[k])
-    return {
-        "profit": float(profit[i, j, k]),
-        "p": best_p,
-        "binding_p": (a - b2 * best_l - best_lam) / b1,
-        "lam": best_lam,
-        "l": best_l,
-    }
+    return _numeric_solution(params, result, extra)

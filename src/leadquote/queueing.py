@@ -22,7 +22,6 @@ large K or rho.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,42 +177,6 @@ def mm1_ontime_prob(lam, mu: float, l):
     scalar = np.isscalar(lam) and np.isscalar(l)
     out = 1.0 - np.exp(-(mu - np.asarray(lam, dtype=float)) * np.asarray(l, dtype=float))
     return _ret(out, scalar)
-
-
-@dataclass(frozen=True)
-class QueueMetrics:
-    """Bundle of steady-state metrics at one operating point."""
-
-    rho: float
-    block_prob: float
-    throughput: float
-    mean_number: float
-    mean_sojourn: float
-    ontime_prob: float
-
-    def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "block_prob": self.block_prob,
-            "throughput": self.throughput,
-            "mean_number": self.mean_number,
-            "mean_sojourn": self.mean_sojourn,
-            "ontime_prob": self.ontime_prob,
-        }
-
-
-def mm1k_metrics(lam: float, mu: float, K: int, l: float) -> QueueMetrics:
-    """All finite-buffer metrics at (lam, mu, K) with quote l.  Needs lam > 0."""
-    if not lam > 0:
-        raise ValueError("mm1k_metrics needs lambda > 0 (per-job metrics undefined)")
-    return QueueMetrics(
-        rho=lam / mu,
-        block_prob=mm1k_blocking(lam, mu, K),
-        throughput=mm1k_throughput(lam, mu, K),
-        mean_number=mm1k_mean_number(lam, mu, K),
-        mean_sojourn=mm1k_mean_sojourn(lam, mu, K),
-        ontime_prob=mm1k_ontime_prob(lam, mu, K, l),
-    )
 
 
 def erlang_quantile_bracket(mu: float, K: int, s: float) -> float:

@@ -182,6 +182,8 @@ def simulate(policy: Policy, params: MarketParams, horizon: float, seed: int = 0
     """
     if not all(math.isfinite(v) for v in (policy.p, policy.l, policy.lam, horizon)):
         raise ValueError("simulation needs a finite policy and horizon")
+    if policy.l < 0:
+        raise ValueError("simulation needs a lead time l >= 0")
     arr, dep, blk = _drain(policy, params, horizon, seed)
     t0 = WARMUP_FRACTION * horizon
     window = horizon - t0

@@ -16,7 +16,7 @@ from leadquote import (
     random_feasible_params,
     run_all_checks,
 )
-from leadquote.certify import random_params
+from leadquote.certify import check_closed_form_against_oracle, random_params
 
 
 def test_birth_death_is_a_distribution():
@@ -74,3 +74,12 @@ def test_full_battery_passes_small():
     assert len(set(names)) == len(names)
     payload = [r.to_dict() for r in results]
     assert all(set(d) == {"name", "ok", "detail"} for d in payload)
+
+
+@pytest.mark.parametrize("seed", [10, 30, 37])
+def test_costed_oracle_sees_thin_profit_regions(seed):
+    # At these seeds the closed form earns at most 2.5e-3, at lambda* <=
+    # 0.14; with its lambda range capped where the unit margin p - m ends,
+    # the oracle finds that at the default resolution and tolerance.
+    result = check_closed_form_against_oracle(True, seed=seed)
+    assert result.ok, result.detail

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from leadquote import (
     MarketParams,
     Policy,
-    SolverConfig,
     brute_force_oracle,
     min_leadtime_for_service,
     mm1_profit,
@@ -33,19 +32,13 @@ from leadquote.queueing import erlang_quantile_bracket
 BASE = MarketParams(a=30.0, b1=4.0, b2=20.0, mu=10.0, m=5.0, s=0.95, F=2.0, c=10.0, K=1)
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        dict(coarse_step_lambda=0.0),
-        dict(coarse_step_l=-0.1),
-        dict(refine_iterations=-1),
-        dict(refine_shrink=0.0),
-        dict(refine_shrink=1.0),
-    ],
-)
-def test_solver_config_rejects(bad):
-    with pytest.raises(ValueError):
-        SolverConfig(**bad)
+def test_export_list_resolves_and_omits_removed_surface():
+    import leadquote
+
+    assert all(hasattr(leadquote, name) for name in leadquote.__all__)
+    for gone in ("SolverConfig", "QueueMetrics", "mm1k_metrics"):
+        assert gone not in leadquote.__all__
+        assert not hasattr(leadquote, gone)
 
 
 def test_min_leadtime_single_slot_is_exponential_quantile():
@@ -172,11 +165,10 @@ def test_numeric_single_slot_matches_closed_form():
     default = solve_mm1k_numeric(BASE)
     assert default.feasible
     assert default.profit == pytest.approx(closed.profit, rel=1e-5)
-    # with more refinement rounds the grid pins the optimum much harder
-    tight = solve_mm1k_numeric(BASE, SolverConfig(refine_iterations=16))
-    assert tight.profit == pytest.approx(closed.profit, abs=1e-8)
-    assert tight.policy.lam == pytest.approx(closed.policy.lam, abs=1e-6)
-    assert tight.policy.l == pytest.approx(closed.policy.l, abs=1e-8)
+    # the pinned quote leaves a 1-D search, which pins the optimum hard
+    assert default.profit == pytest.approx(closed.profit, abs=1e-8)
+    assert default.policy.lam == pytest.approx(closed.policy.lam, abs=1e-6)
+    assert default.policy.l == pytest.approx(closed.policy.l, abs=1e-8)
 
 
 def test_numeric_solution_is_deterministic_and_monotone():
@@ -306,10 +298,19 @@ def test_oracle_agrees_with_closed_form():
     assert oracle.policy.lam == pytest.approx(closed.policy.lam, abs=1e-5)
 
 
-def test_price_sweep_confirms_binding_demand():
-    oracle = brute_force_oracle(BASE, "mm11-with-costs", sweep_price=True)
-    d = oracle.diagnostics
-    # coarse 3-D sweep: its free price lands on the binding constraint up
-    # to grid quantization, and it cannot beat the banded search
-    assert abs(d["price_sweep_p"] - d["price_sweep_binding_p"]) < 0.2
-    assert d["price_sweep_profit"] <= oracle.profit + 1e-9
+@pytest.mark.parametrize("costs_on", [False, True])
+def test_free_price_scan_does_not_beat_binding_demand(costs_on):
+    # Coarse scan over (lam, l, p) with the price freed and demand as an
+    # inequality: it finds no more than the single-slot optimum on the
+    # binding constraint, and its best price lands on that constraint up
+    # to grid quantization.
+    a, b1, b2, m, mu = BASE.a, BASE.b1, BASE.b2, BASE.m, BASE.mu
+    lam, l, p = np.meshgrid(np.linspace(0.0, a, 60), np.linspace(BASE.z / mu, a / b2, 60),
+                            np.linspace(0.0, a / b1, 60), indexing="ij")
+    costs = BASE.F + BASE.c * np.exp(-mu * l) if costs_on else 0.0
+    profit = np.where(lam <= a - b1 * p - b2 * l + 1e-12,
+                      lam * (mu * (p - m) - costs) / (mu + lam), -np.inf)
+    best = np.unravel_index(np.argmax(profit), profit.shape)
+    closed = solve_mm11_with_costs(BASE) if costs_on else solve_mm11_no_costs(BASE)
+    assert profit[best] <= closed.profit + 1e-9
+    assert abs(p[best] - (a - b2 * l[best] - lam[best]) / b1) < 0.2

@@ -15,7 +15,6 @@ from leadquote import (
     mm1k_blocking,
     mm1k_mean_number,
     mm1k_mean_sojourn,
-    mm1k_metrics,
     mm1k_ontime_prob,
     mm1k_throughput,
 )
@@ -167,16 +166,6 @@ def test_input_validation():
         mm1k_blocking(5.0, 10.0, 0)
     with pytest.raises(ValueError):
         mm1k_ontime_prob(5.0, 10.0, 2, -0.1)
-
-
-def test_metrics_bundle_consistency():
-    m = mm1k_metrics(5.0, 10.0, 3, 0.3)
-    assert m.rho == 0.5
-    assert m.block_prob == mm1k_blocking(5.0, 10.0, 3)
-    assert m.mean_sojourn == pytest.approx(m.mean_number / m.throughput, rel=1e-14)
-    assert m.ontime_prob == pytest.approx(ONTIME_FROZEN[(5.0, 10.0, 3, 0.3)], abs=1e-12)
-    with pytest.raises(ValueError):
-        mm1k_metrics(0.0, 10.0, 3, 0.3)
 
 
 def _gammainc_ontime(lam, mu, K, l):

@@ -127,6 +127,11 @@ def test_rejects_non_finite_inputs(policy, horizon):
         simulate(policy, PARAMS_K3, horizon=horizon)
 
 
+def test_rejects_negative_lead_time():
+    with pytest.raises(ValueError, match="lead time"):
+        simulate(Policy(p=9.0, l=-1.0, lam=5.0), PARAMS_K3, horizon=2000.0)
+
+
 def _reference_drain(policy: Policy, params: MarketParams, horizon: float, seed: int):
     """Test oracle: the event loop as first written, with a FIFO deque of
     the departure times of the jobs in system."""
