@@ -11,7 +11,7 @@ dense grid search with inline objectives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import stats
@@ -41,7 +41,7 @@ class PropertyResult:
     detail: str
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "detail": self.detail}
+        return asdict(self)
 
 
 def birth_death_stationary(lam: float, mu: float, K: int) -> np.ndarray:
@@ -90,33 +90,19 @@ def random_params(rng: np.random.Generator, costs_on: bool) -> MarketParams:
 
 def random_feasible_params(rng: np.random.Generator, costs_on: bool,
                            max_tries: int = 1000) -> MarketParams:
-    """Rejection-sample a draw that passes the relevant feasibility gate
-    with a solver that actually sells something (lambda* > 0.01)."""
+    """Rejection-sample a draw on which the single-slot solver is feasible
+    and actually sells something (lambda* > 0.01).  Cost-free draws have
+    F = c = 0."""
     for _ in range(max_tries):
         params = random_params(rng, costs_on)
-        if costs_on:
-            sol = solve_mm11_with_costs(params)
-        else:
-            if not feasible_no_costs(params):
-                continue
-            sol = solve_mm11_no_costs(params)
+        sol = solve_mm11_with_costs(params)
         if sol.feasible and sol.policy.lam > 0.01:
             return params
     raise RuntimeError("could not draw a feasible instance")
 
 
-def _residual_no_costs(params: MarketParams, lam: float) -> float:
-    """Profit derivative in lambda of the cost-free single-slot problem."""
-    mu = params.mu
-    margin = (
-        params.a * mu - params.b2 * params.z - params.m * mu * params.b1
-        - 2.0 * lam * mu - lam * lam
-    )
-    return mu * margin / (params.b1 * (mu + lam) ** 2)
-
-
-def _residual_with_costs(params: MarketParams, lam: float, l: float) -> float:
-    """Profit derivative in lambda of the costed single-slot problem."""
+def _residual(params: MarketParams, lam: float, l: float) -> float:
+    """Profit derivative in lambda of the single-slot problem."""
     mu = params.mu
     margin = (
         params.a * mu - mu * params.b2 * l - 2.0 * mu * lam
@@ -211,22 +197,18 @@ def check_closed_form_against_oracle(costs_on: bool, n: int = 100, seed: int = 1
                                      resolution: int = 160,
                                      tol: float = 1e-4,
                                      residual_tol: float = 1e-8) -> PropertyResult:
-    """Closed-form optima vs dense grid search, plus stationarity residuals."""
+    """Closed-form optima vs dense grid search, plus stationarity residuals.
+    Without costs the draws have F = c = 0."""
     rng = np.random.default_rng(seed)
     worst_gap = 0.0
     worst_res = 0.0
-    model = "mm11-with-costs" if costs_on else "mm11-no-costs"
     for _ in range(n):
         params = random_feasible_params(rng, costs_on)
-        sol = solve_mm11_with_costs(params) if costs_on else solve_mm11_no_costs(params)
-        ref = brute_force_oracle(params, model, resolution=resolution)
+        sol = solve_mm11_with_costs(params)
+        ref = brute_force_oracle(params, "mm11", resolution=resolution)
         gap = abs(sol.profit - ref.profit) / max(1.0, abs(sol.profit))
         worst_gap = max(worst_gap, gap)
-        if costs_on:
-            res = abs(_residual_with_costs(params, sol.policy.lam, sol.policy.l))
-        else:
-            res = abs(_residual_no_costs(params, sol.policy.lam))
-        worst_res = max(worst_res, res)
+        worst_res = max(worst_res, abs(_residual(params, sol.policy.lam, sol.policy.l)))
     ok = worst_gap <= tol and worst_res <= residual_tol
     label = "with-costs" if costs_on else "no-costs"
     return PropertyResult(
@@ -269,9 +251,7 @@ def check_numeric_matches_closed_form(seed: int = 3, n: int = 4,
     for costs_on in (False, True):
         for _ in range(n):
             params = random_feasible_params(rng, costs_on)
-            if not costs_on:
-                params = params.with_updates(F=0.0, c=0.0)
-            closed = solve_mm11_with_costs(params) if costs_on else solve_mm11_no_costs(params)
+            closed = solve_mm11_with_costs(params)
             numeric = solve_mm1k_numeric(params)
             gap = abs(closed.profit - numeric.profit) / max(1.0, abs(closed.profit))
             worst = max(worst, gap)

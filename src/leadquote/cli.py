@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .certify import run_all_checks
-from .closed_form import Solution, solve_mm11_no_costs, solve_mm11_with_costs
+from .closed_form import Solution, solve_mm11_with_costs
 from .compare import sweep
 from .market import MarketParams, Policy
 from .numeric import solve_mm1_baseline, solve_mm1k_numeric
@@ -250,18 +250,20 @@ def _emit(doc: dict, config: RunConfig) -> None:
         sys.stdout.write(text)
 
 
-def _solve_dispatch(config: RunConfig) -> Solution:
-    params = config.params
-    if config.model == "mm11":
-        return solve_mm11_with_costs(params) if config.costs_on else solve_mm11_no_costs(params)
-    if config.model == "mm1":
-        return solve_mm1_baseline(params, costs_on=config.costs_on)
-    effective = params if config.costs_on else params.with_updates(F=0.0, c=0.0)
-    return solve_mm1k_numeric(effective)
+def _costed(params: MarketParams, costs_on: bool) -> MarketParams:
+    # Costs off means F = c = 0.
+    return params if costs_on else params.with_updates(F=0.0, c=0.0)
+
+
+def _solve_dispatch(model: str, params: MarketParams, costs_on: bool) -> Solution:
+    if model == "mm1":
+        return solve_mm1_baseline(params, costs_on=costs_on)
+    solve = solve_mm11_with_costs if model == "mm11" else solve_mm1k_numeric
+    return solve(_costed(params, costs_on))
 
 
 def _run_solve(config: RunConfig) -> int:
-    solution = _solve_dispatch(config)
+    solution = _solve_dispatch(config.model, config.params, config.costs_on)
     doc = _stamp(
         {
             "command": "solve",
@@ -292,14 +294,13 @@ def _run_sweep(config: RunConfig) -> int:
 
 
 def _run_simulate(config: RunConfig) -> int:
-    params = config.params if config.costs_on else config.params.with_updates(F=0.0, c=0.0)
+    params = _costed(config.params, config.costs_on)
     if config.model == "mm11":
         params = params.with_updates(K=1)
     solved = None
     policy = config.policy
     if policy is None:
-        solved = _solve_dispatch(RunConfig(command="solve", params=params,
-                                           model=config.model, costs_on=config.costs_on))
+        solved = _solve_dispatch(config.model, params, config.costs_on)
         if not solved.feasible or solved.policy.lam <= 0:
             _emit(_stamp({"command": "simulate",
                           "error": "instance infeasible; nothing to simulate",

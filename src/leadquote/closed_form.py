@@ -2,20 +2,19 @@
 
 With K = 1 the expected profit rate collapses to an explicit function of
 (lambda, l): throughput is lambda*mu/(mu+lambda), the admitted job's sojourn
-is Exp(mu), and the lateness exposure factor is exp(-mu*l)/mu.  Both the
-cost-free and the costed problems then reduce to a concave quadratic in
-lambda once the optimal quote is pinned down:
+is Exp(mu), and the lateness exposure factor is exp(-mu*l)/mu.  The problem
+then reduces to a concave quadratic in lambda once the optimal quote is
+pinned down.  The quote balances the lateness penalty against the demand
+lost to a longer quote: l* = ln(x)/mu with x = max{1/(1-s), b1*c/b2},
+equivalently an attained service level of max{s, s_c} where
+s_c = 1 - b2/(b1*c) is the critical level at which the penalty and demand
+effects cancel.  quote_level holds this rule once; the accept-all M/M/1
+benchmark uses it with mu - lambda for mu.  The cost-free problem is the
+costed one at F = c = 0, where the service level binds: l* = z/mu with
+z = ln(1/(1-s)).
 
-  * without congestion/lateness costs the service-level constraint binds,
-    l* = z/mu with z = ln(1/(1-s));
-  * with costs the optimal quote balances the lateness penalty against the
-    demand lost to a longer quote, l* = ln(x)/mu with
-    x = max{1/(1-s), b1*c/b2}, equivalently an attained service level of
-    max{s, s_c} where s_c = 1 - b2/(b1*c) is the critical level at which
-    the penalty and demand effects cancel.
-
-In both cases lambda* = -mu + sqrt(mu^2 + R) for the appropriate margin
-term R, and the price rides the binding demand constraint.
+Then lambda* = -mu + sqrt(mu^2 + R) for the margin term R, and the price
+rides the binding demand constraint.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from dataclasses import dataclass, field
 from .market import (
     MarketParams,
     Policy,
-    feasible_no_costs,
     feasible_with_costs,
     inverse_price,
 )
@@ -123,80 +121,56 @@ def critical_service_level(params: MarketParams) -> float:
     return 1.0 - params.b2 / (params.b1 * params.c)
 
 
-def solve_mm11_no_costs(params: MarketParams) -> Solution:
-    """Optimal policy for the single-slot system, pure revenue objective.
+def quote_level(params: MarketParams):
+    """ln(x) of the best quote ln(x)/rate, and the constraint that pins it.
 
-    The service-level constraint binds (l* = z/mu); lambda* solves the
-    concave quadratic first-order condition, giving
-    lambda* = -mu + sqrt(mu^2 + a*mu - b2*z - m*mu*b1).
+    x = max{1/(1-s), b1*c/b2}, penalty-binding exactly when s_c > s.  The
+    single-slot system quotes at rate mu, the accept-all benchmark at
+    mu - lambda.  Degenerate inputs: c = 0 leaves the service-binding z;
+    b2 = 0 (with c > 0) puts no demand pressure against a long quote, so
+    it stretches until the lateness factor exp(-rate*l) has fallen by
+    PENALTY_ELIMINATION below the service floor.
+    """
+    if params.c <= 0:
+        return params.z, SERVICE_BINDING
+    if params.b2 <= 0:
+        return params.z + math.log(1.0 / PENALTY_ELIMINATION), PENALTY_BINDING
+    x = max(1.0 / (1.0 - params.s), params.b1 * params.c / params.b2)
+    branch = PENALTY_BINDING if critical_service_level(params) > params.s else SERVICE_BINDING
+    return math.log(x), branch
+
+
+def solve_mm11_no_costs(params: MarketParams) -> Solution:
+    """Optimal policy for the single-slot system, pure revenue objective:
+    the costed problem at F = c = 0, where the service level binds
+    (l* = z/mu) and lambda* = -mu + sqrt(mu^2 + a*mu - b2*z - m*mu*b1).
     """
     _require_single_slot(params, "solve_mm11_no_costs")
-    a, b1, b2, mu, m = params.a, params.b1, params.b2, params.mu, params.m
-    z = params.z
-    diagnostics = {"z": z}
-    if not feasible_no_costs(params):
-        return _infeasible(params, diagnostics)
-    l_star = z / mu
-    radicand = mu * mu + a * mu - b2 * z - m * mu * b1
-    diagnostics["discriminant"] = radicand
-    if radicand < 0:
-        # The feasibility gate guarantees radicand >= mu^2; reaching here
-        # means inconsistent inputs, not a case to clamp over.
-        raise ArithmeticError(f"negative discriminant {radicand} on a feasible instance")
-    lam_star = -mu + math.sqrt(radicand)
-    lam_star = max(lam_star, 0.0)
-    p_star = inverse_price(lam_star, l_star, params)
-    profit = lam_star * mu * (p_star - m) / (mu + lam_star) if lam_star > 0 else 0.0
-    return Solution(
-        policy=Policy(p=p_star, l=l_star, lam=lam_star),
-        profit=profit,
-        feasible=True,
-        service_level_attained=params.s,
-        branch=SERVICE_BINDING,
-        diagnostics=diagnostics,
-    )
+    return solve_mm11_with_costs(params.with_updates(F=0.0, c=0.0))
 
 
 def solve_mm11_with_costs(params: MarketParams) -> Solution:
     """Optimal policy for the single-slot system with holding and lateness costs.
 
-    The quote solves x = max{1/(1-s), b1*c/b2}, l* = ln(x)/mu; whichever
-    term wins decides the branch (service-binding vs penalty-binding, the
-    latter exactly when s_c > s).  Then
+    The quote is l* = ln(x)/mu from quote_level; then
     lambda* = -mu + sqrt(mu^2 + a*mu - mu*b2*l* - mu*b1*m - F*b1 - b1*c*exp(-mu*l*)).
-    Degenerate inputs: c = 0 falls back to the service-binding quote; b2 = 0
-    (with c > 0) caps the quote at the penalty-elimination point.
     """
     _require_single_slot(params, "solve_mm11_with_costs")
     a, b1, b2, mu, m = params.a, params.b1, params.b2, params.mu, params.m
     F, c, s = params.F, params.c, params.s
-    z = params.z
-    diagnostics = {"z": z}
+    diagnostics = {"z": params.z}
 
-    if c <= 0:
-        s_c = None
-        l_star = z / mu
-        attained = s
-        branch = SERVICE_BINDING
-    elif b2 <= 0:
-        # No demand pressure against a long quote: stretch it until the
-        # lateness exposure is negligible (or to z/mu if s demands more).
-        s_c = None
-        l_star = max(z, math.log(1.0 / PENALTY_ELIMINATION)) / mu
-        attained = 1.0 - math.exp(-mu * l_star)
-        branch = PENALTY_BINDING if l_star > z / mu else SERVICE_BINDING
-    else:
+    log_x, branch = quote_level(params)
+    l_star = log_x / mu
+    attained = s
+    if c > 0 and b2 > 0:
         s_c = critical_service_level(params)
         diagnostics["s_c"] = s_c
-        x = max(1.0 / (1.0 - s), b1 * c / b2)
-        diagnostics["x"] = x
-        l_star = math.log(x) / mu
-        if s_c > s:
-            branch = PENALTY_BINDING
+        diagnostics["x"] = max(1.0 / (1.0 - s), b1 * c / b2)
+        if branch == PENALTY_BINDING:
             attained = s_c
-        else:
-            branch = SERVICE_BINDING
-            attained = s
+    elif branch == PENALTY_BINDING:
+        attained = 1.0 - math.exp(-mu * l_star)
 
     if not feasible_with_costs(params, l_star):
         return _infeasible(params, diagnostics)

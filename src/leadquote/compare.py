@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .closed_form import Solution, solve_mm11_no_costs, solve_mm11_with_costs
+from .closed_form import solve_mm11_no_costs, solve_mm11_with_costs
 from .market import MarketParams
 from .numeric import solve_mm1_baseline
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 
 # Slack for feasibility inequalities so boundary instances do not flap.
@@ -45,6 +46,8 @@ class MarketParams:
     def __post_init__(self) -> None:
         for name in ("a", "b1", "b2", "mu", "m", "s", "F", "c"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value}")
         if not self.a > 0:
@@ -80,10 +83,7 @@ class MarketParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MarketParams":
-        known = {f: d[f] for f in ("a", "b1", "b2", "mu", "m", "s", "F", "c", "K") if f in d}
-        if "K" in known and not isinstance(known["K"], bool):
-            known["K"] = int(known["K"])
-        return cls(**known)
+        return cls(**{f: d[f] for f in ("a", "b1", "b2", "mu", "m", "s", "F", "c", "K") if f in d})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

@@ -10,15 +10,16 @@ constants; the oracle sets its steps from its resolution.
 The solvers pin the quote as a function of lambda, so the band has zero
 width and they search lambda alone.  For the accept-all M/M/1 benchmark
 the profit is concave in l at fixed lambda and the best quote is
-ln(x)/(mu - lambda), x = max{1/(1-s), b1 c/b2}: the single-slot
-dichotomy with mu - lambda for mu.  For the finite-buffer system the
-slope in l is c L_s g(l) - lambda_eff b2/b1, with g the log-concave
-sojourn density, so it is positive on one interval at most and the best
-quote is lo or that interval's right end (clipped to hi), found by Newton
-steps on log g.  lo, the service-level minimum, is a bracketed Newton
-search on the on-time probability.  Only the brute-force oracle searches
-the full band (_oracle_band), up to the zero-price bound (or a
-penalty-elimination cap when demand ignores lead time).
+ln(x)/(mu - lambda), x = max{1/(1-s), b1 c/b2}: the single-slot rule
+closed_form.quote_level with mu - lambda for mu.  For the finite-buffer
+system the slope in l is c L_s g(l) - lambda_eff b2/b1, with g the
+log-concave sojourn density, so it is positive on one interval at most
+and the best quote is lo or that interval's right end (clipped to hi),
+found by Newton steps on log g.  lo, the service-level minimum, is a
+bracketed Newton search on the on-time probability.  Only the
+brute-force oracle searches the full band (_oracle_band), up to the
+zero-price bound (or a penalty-elimination cap when demand ignores lead
+time).
 
 Tie-breaking is deterministic: smallest lambda, then smallest quote, and
 the incumbent is only replaced on strict improvement, so results do not
@@ -37,7 +38,8 @@ from .closed_form import (
     PENALTY_ELIMINATION,
     SERVICE_BINDING,
     Solution,
-    critical_service_level,
+    _infeasible,
+    quote_level,
 )
 from .market import MarketParams, Policy, inverse_price
 from .queueing import (
@@ -70,13 +72,7 @@ _REFINE_SHRINK = 0.25
 QUOTE_TOL = 1e-10
 _MAX_NEWTON_STEPS = 100
 
-ORACLE_MODELS = (
-    "mm11-no-costs",
-    "mm11-with-costs",
-    "mm1-no-costs",
-    "mm1-with-costs",
-    "mm1k",
-)
+ORACLE_MODELS = ("mm11", "mm1", "mm1k")
 
 
 def _axis(lo: float, hi: float, step: float) -> np.ndarray:
@@ -254,49 +250,30 @@ def _leadtime_cap(lo, rate):
     return lo + math.log(1.0 / PENALTY_ELIMINATION) / rate
 
 
-def _mm1_quote_level(params: MarketParams, costs_on: bool):
-    """ln(x) of the accept-all benchmark's best quote ln(x)/(mu - lambda),
-    and its branch, by the single-slot rule (penalty-binding iff s_c > s).
-    Without costs or with c = 0, x = 1/(1-s); with b2 = 0 the quote is the
-    penalty-elimination cap."""
-    z = params.z
-    if not costs_on or params.c <= 0:
-        return z, SERVICE_BINDING
-    if params.b2 <= 0:
-        return z + math.log(1.0 / PENALTY_ELIMINATION), PENALTY_BINDING
-    if critical_service_level(params) > params.s:
-        return math.log(params.b1 * params.c / params.b2), PENALTY_BINDING
-    return z, SERVICE_BINDING
-
-
-def _mm1_objective(params: MarketParams, costs_on: bool):
+def _mm1_objective(params: MarketParams):
     a, b1, b2, m, mu, F, c = params.a, params.b1, params.b2, params.m, params.mu, params.F, params.c
 
     def objective(lam, L):
         p = (a - b2 * L - lam) / b1
-        profit = lam * (p - m)
-        if costs_on:
-            slack = mu - lam
-            profit = profit - F * lam / slack - c * lam * np.exp(-slack * L) / slack
+        slack = mu - lam
+        profit = lam * (p - m) - F * lam / slack - c * lam * np.exp(-slack * L) / slack
         return np.where(p >= -PRICE_SLACK, profit, -np.inf)
 
     return objective
 
 
 def _numeric_solution(params: MarketParams, result: dict, extra: dict) -> Solution:
-    z = params.z
-    diagnostics = {"z": z, **extra,
+    diagnostics = {"z": params.z, **extra,
                    "evaluations": result["evaluations"],
                    "refine_rounds": result["refine_rounds"],
                    "round_profits": [float(v) for v in result["round_profits"] if np.isfinite(v)]}
     if not result["found"] or result["profit"] < 0.0:
-        policy = Policy(p=params.m, l=z / params.mu, lam=0.0)
-        return Solution(policy, 0.0, False, params.s, SERVICE_BINDING, diagnostics)
+        return _infeasible(params, diagnostics)
     lam, l = result["lam"], result["l"]
     p = inverse_price(lam, l, params)
     if extra.get("model") == "mm1":
         attained = mm1_ontime_prob(lam, params.mu, l)
-        branch = _mm1_quote_level(params, extra["costs_on"])[1]
+        branch = quote_level(params)[1]
     else:
         attained = mm1k_ontime_prob(lam, params.mu, params.K, l)
         branch = SERVICE_BINDING if attained <= params.s + 1e-6 else PENALTY_BINDING
@@ -420,24 +397,26 @@ def solve_mm1_baseline(params: MarketParams, costs_on: bool) -> Solution:
     """Optimal policy of the accept-all M/M/1 benchmark by a search over lambda.
 
     The quote at each lambda is pinned at ln(x)/(mu - lambda) (see
-    _mm1_quote_level), so the grid search runs on a zero-width band, a
-    stability margin away from lambda = mu.
+    closed_form.quote_level), so the grid search runs on a zero-width band,
+    a stability margin away from lambda = mu.  Costs off means F = c = 0.
     """
-    mu, z = params.mu, params.z
+    if not costs_on:
+        params = params.with_updates(F=0.0, c=0.0)
+    mu = params.mu
     lam_hi = min(params.a, mu - STABILITY_MARGIN)
     extra = {"model": "mm1", "costs_on": costs_on}
     if lam_hi <= 0:
         return _numeric_solution(params, {"found": False, "profit": -np.inf,
-                                          "lam": 0.0, "l": z / mu,
+                                          "lam": 0.0, "l": params.z / mu,
                                           "evaluations": 0, "refine_rounds": 0,
                                           "round_profits": []}, extra)
-    log_x = _mm1_quote_level(params, costs_on)[0]
+    log_x = quote_level(params)[0]
 
     def band(lam):
         quote = log_x / (mu - lam)
         return quote, quote
 
-    result = _search(_mm1_objective(params, costs_on), lam_hi, band)
+    result = _search(_mm1_objective(params), lam_hi, band)
     return _numeric_solution(params, result, extra)
 
 
@@ -445,8 +424,7 @@ def _oracle_band(params: MarketParams, model: str):
     """The oracle's search box for one model: the top of its lambda range
     and its full quote band.  lo is the service-level minimum and hi the
     zero-price bound, or the penalty-elimination cap when b2 = 0 (profit
-    never falls in l there).  Without costs the accept-all quote
-    z/(mu - lambda) binds, so that band has zero width.
+    never falls in l there).
 
     Positive profit needs p > m, and an admitted sojourn is stochastically
     at least Exp(mu), so every model quotes l >= z/mu; hence lambda stays
@@ -454,19 +432,17 @@ def _oracle_band(params: MarketParams, model: str):
     alone, lets the coarse grid see thin regions of positive profit."""
     a, b2, mu, z = params.a, params.b2, params.mu, params.z
     lam_hi = max(a - params.b1 * params.m - b2 * z / mu, 0.0)
-    if model.startswith("mm1-"):
+    if model == "mm1":
         lam_hi = min(lam_hi, mu - STABILITY_MARGIN)
 
     def band(lam):
         lam = np.asarray(lam, dtype=float)
         if model == "mm1k":
             lo, rate = np.atleast_1d(min_leadtime_for_service(lam, params)), mu
-        elif model.startswith("mm11"):
+        elif model == "mm11":
             lo, rate = np.full_like(lam, z / mu), mu
         else:
             lo, rate = z / (mu - lam), mu - lam
-            if model == "mm1-no-costs":
-                return lo, lo
         if b2 > 0:
             return lo, np.maximum((a - lam) / b2, lo)
         return lo, _leadtime_cap(lo, rate)
@@ -477,11 +453,12 @@ def _oracle_band(params: MarketParams, model: str):
 def brute_force_oracle(params: MarketParams, model: str, resolution: int = 160) -> Solution:
     """Dense two-phase grid search used to certify the closed-form solvers.
 
-    The objectives are written out inline here, independently of the
-    closed-form module, so agreement is evidence rather than tautology.
-    model picks the system: single-slot with or without costs, accept-all
-    benchmark with or without costs, or the general finite-buffer system.
-    The search covers the full quote band of _oracle_band, with coarse
+    The single-slot objective is written out inline here, independently of
+    the closed-form module, so agreement is evidence rather than tautology.
+    model picks the system: "mm11" single-slot, "mm1" accept-all benchmark
+    or "mm1k" general finite buffer, each with the holding and lateness
+    costs of params (pass F = c = 0 for the cost-free problem).  The
+    search covers the full quote band of _oracle_band, with coarse
     steps of span/(resolution - 1) and a fixed 10-round refinement, so the
     oracle's accuracy is a function of resolution alone.
     """
@@ -489,24 +466,19 @@ def brute_force_oracle(params: MarketParams, model: str, resolution: int = 160) 
         raise ValueError(f"unknown oracle model {model!r}; pick one of {ORACLE_MODELS}")
     if resolution < 100:
         raise ValueError("oracle resolution must be at least 100")
-    if model.startswith("mm11") and params.K != 1:
+    if model == "mm11" and params.K != 1:
         raise ValueError("single-slot oracle needs K = 1")
     a, b1, b2, m, mu, F, c = params.a, params.b1, params.b2, params.m, params.mu, params.F, params.c
 
     if model == "mm1k":
         objective = _mm1k_objective(params)
-    elif model == "mm11-no-costs":
-        def objective(lam, L):
-            p = (a - b2 * L - lam) / b1
-            profit = lam * mu * (p - m) / (mu + lam)
-            return np.where(p >= -PRICE_SLACK, profit, -np.inf)
-    elif model == "mm11-with-costs":
+    elif model == "mm11":
         def objective(lam, L):
             p = (a - b2 * L - lam) / b1
             profit = lam * (mu * (p - m) - F - c * np.exp(-mu * L)) / (mu + lam)
             return np.where(p >= -PRICE_SLACK, profit, -np.inf)
     else:
-        objective = _mm1_objective(params, model == "mm1-with-costs")
+        objective = _mm1_objective(params)
     lam_hi, band = _oracle_band(params, model)
 
     # Coarse l step: span of the widest band divided by the resolution.
@@ -515,8 +487,4 @@ def brute_force_oracle(params: MarketParams, model: str, resolution: int = 160) 
     result = _search(objective, lam_hi, band, rounds=10,
                      step_lam=lam_hi / (resolution - 1) if lam_hi > 0 else 1.0,
                      step_l=widest / (resolution - 1) if widest > 0 else None)
-    extra = {"model": "mm1" if model.startswith("mm1-") else ("mm1k" if model == "mm1k" else "mm11"),
-             "oracle": model, "resolution": resolution}
-    if extra["model"] == "mm1":
-        extra["costs_on"] = model == "mm1-with-costs"
-    return _numeric_solution(params, result, extra)
+    return _numeric_solution(params, result, {"model": model, "resolution": resolution})

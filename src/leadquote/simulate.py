@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain, count
 
 import numpy as np
@@ -46,7 +46,7 @@ class Estimate:
     halfwidth: float
 
     def to_dict(self) -> dict:
-        return {"value": self.value, "halfwidth": self.halfwidth}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -68,21 +68,7 @@ class SimReport:
     horizon: float
 
     def to_dict(self) -> dict:
-        return {
-            "n_arrivals": self.n_arrivals,
-            "n_blocked": self.n_blocked,
-            "n_served": self.n_served,
-            "n_in_system_end": self.n_in_system_end,
-            "block_prob": self.block_prob.to_dict(),
-            "mean_number": self.mean_number.to_dict(),
-            "throughput": self.throughput.to_dict(),
-            "mean_sojourn": self.mean_sojourn.to_dict(),
-            "ontime_prob": self.ontime_prob.to_dict(),
-            "profit_factored_lateness": self.profit_factored_lateness.to_dict(),
-            "profit_exact_lateness": self.profit_exact_lateness.to_dict(),
-            "seed": self.seed,
-            "horizon": self.horizon,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -94,13 +80,7 @@ class MetricCheck:
     ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "estimate": self.estimate,
-            "analytic": self.analytic,
-            "sigma": self.sigma,
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -169,11 +169,10 @@ def test_criterion_3_closed_forms_certified_against_oracle():
     worst_gap = 0.0
     worst_residual = 0.0
     for costs_on in (False, True):
-        model = "mm11-with-costs" if costs_on else "mm11-no-costs"
         for _ in range(n_per_solver):
             params = random_feasible_params(rng, costs_on)
             closed = solve_mm11_with_costs(params) if costs_on else solve_mm11_no_costs(params)
-            oracle = brute_force_oracle(params, model, resolution=160)
+            oracle = brute_force_oracle(params, "mm11", resolution=160)
             gap = abs(closed.profit - oracle.profit) / max(abs(oracle.profit), 1e-12)
             worst_gap = max(worst_gap, gap)
             residual = _stationarity_residual(

@@ -104,6 +104,17 @@ def test_boolean_capacity_in_config_exits_config(tmp_path, capsys):
     assert "capacity K" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("loaded,message", [({"K": 2.5}, "capacity K"),
+                                             ({"a": "30"}, "real number")],
+                         ids=["fractional-K", "string-a"])
+def test_mistyped_config_value_exits_config(tmp_path, capsys, loaded, message):
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps(loaded))
+    assert main(["solve", "--model", "mm1k", "--config", str(cfg)]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == EXIT_CONFIG and message in err["error"]
+
+
 def test_single_slot_model_requires_unit_buffer(capsys):
     assert main(["solve", "--model", "mm11", "--K", "3"]) == EXIT_CONFIG
     code, doc = run_json(capsys, ["solve", "--model", "mm1k", "--K", "3", "--no-timestamp"])

@@ -8,6 +8,7 @@ fewer, hence the looser tolerances on lam.
 
 import math
 
+import numpy as np
 import pytest
 
 from leadquote import (
@@ -18,9 +19,13 @@ from leadquote import (
     Solution,
     critical_service_level,
     mm11_profit,
+    solve_mm1_baseline,
+    solve_mm1k_numeric,
     solve_mm11_no_costs,
     solve_mm11_with_costs,
+    sweep,
 )
+from leadquote.certify import random_params
 
 BASE = MarketParams(a=30.0, b1=4.0, b2=20.0, mu=10.0, m=5.0, s=0.95, F=2.0, c=10.0, K=1)
 
@@ -76,14 +81,37 @@ def test_with_costs_base_case():
 
 
 def test_costless_limit_reduces_to_no_costs():
-    params = BASE.with_updates(F=0.0, c=0.0)
-    with_costs = solve_mm11_with_costs(params)
-    no_costs = solve_mm11_no_costs(params)
-    assert with_costs.branch == SERVICE_BINDING
-    assert with_costs.policy.l == no_costs.policy.l
-    assert with_costs.policy.lam == pytest.approx(no_costs.policy.lam, rel=1e-12)
-    assert with_costs.policy.p == pytest.approx(no_costs.policy.p, rel=1e-12)
-    assert with_costs.profit == pytest.approx(no_costs.profit, rel=1e-12)
+    # "Costs off" means F = c = 0 in every entry point: on BASE and on
+    # random markets, including the degenerate b2 = 0 and s = 0 ones.
+    rng = np.random.default_rng(17)
+    markets = [BASE] + [random_params(rng, costs_on=True).with_updates(**change)
+                        for change in [{}, {"b2": 0.0}, {"s": 0.0}] * 8]
+    for i, params in enumerate(markets):
+        zeroed = params.with_updates(F=0.0, c=0.0)
+        with_costs, no_costs = solve_mm11_with_costs(zeroed), solve_mm11_no_costs(params)
+        assert with_costs.feasible == no_costs.feasible
+        assert with_costs.branch == no_costs.branch == SERVICE_BINDING
+        assert with_costs.policy.l == no_costs.policy.l == params.z / params.mu
+        assert with_costs.policy.lam == pytest.approx(no_costs.policy.lam, rel=1e-12)
+        assert with_costs.policy.p == pytest.approx(no_costs.policy.p, rel=1e-12)
+        assert with_costs.profit == pytest.approx(no_costs.profit, rel=1e-12)
+        if no_costs.feasible:
+            # the cost-free closed form, verbatim
+            mu = params.mu
+            rad = mu * mu + params.a * mu - params.b2 * params.z - params.m * mu * params.b1
+            assert no_costs.policy.lam == pytest.approx(max(-mu + math.sqrt(rad), 0.0),
+                                                        rel=1e-12, abs=1e-12)
+
+        base_off = solve_mm1_baseline(params, costs_on=False).to_dict()
+        base_on = solve_mm1_baseline(zeroed, costs_on=True).to_dict()
+        assert base_off["diagnostics"].pop("costs_on") is False
+        assert base_on["diagnostics"].pop("costs_on") is True
+        assert base_off == base_on
+
+        if i % 6 == 0:
+            grid = ([params.a, params.a + 10.0], [0.0, 5.0, params.b2])
+            assert (sweep(params, *grid, costs_on=False).gains
+                    == sweep(zeroed, *grid, costs_on=True).gains)
 
 
 def test_requires_single_slot():
@@ -149,6 +177,15 @@ def test_penalty_elimination_when_demand_ignores_lead_time():
     # stretching the quote must not have cost anything relative to l = z/mu
     short = Policy(p=sol.policy.p, l=params.z / params.mu, lam=sol.policy.lam)
     assert sol.profit >= mm11_profit(short, params, costs_on=True)
+    # one cap in all three systems: the service floor plus ln(1e12)/rate
+    stretch = params.z + math.log(1e12)
+    assert sol.policy.l == pytest.approx(stretch / params.mu, rel=1e-14)
+    finite = solve_mm1k_numeric(params)
+    assert finite.policy.l == pytest.approx(sol.policy.l, abs=1e-9)
+    accept_all = solve_mm1_baseline(params, costs_on=True)
+    assert accept_all.branch == PENALTY_BINDING
+    assert accept_all.policy.l == pytest.approx(
+        stretch / (params.mu - accept_all.policy.lam), rel=1e-14)
 
 
 def test_profit_evaluator_hand_values():

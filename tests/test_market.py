@@ -67,7 +67,8 @@ def test_z_is_log_reciprocal_tail():
         ("K", 0),
         ("b2", math.nan), ("m", math.nan), ("c", math.nan),
         ("F", math.inf), ("a", math.inf), ("mu", -math.inf),
-        ("K", True),
+        ("K", True), ("K", 2.5),
+        ("a", "30"), ("c", None), ("s", True),
     ],
 )
 def test_params_validation(field, value):

@@ -257,7 +257,7 @@ def test_costed_baseline_pins_the_best_quote(seed, zeroed):
     if zeroed:
         params = params.with_updates(**{zeroed: 0.0})
     sol = solve_mm1_baseline(params, costs_on=True)
-    oracle = brute_force_oracle(params, "mm1-with-costs", resolution=160)
+    oracle = brute_force_oracle(params, "mm1", resolution=160)
     assert sol.profit >= oracle.profit - 1e-9 * abs(oracle.profit)
     if not sol.feasible:
         return
@@ -284,15 +284,15 @@ def test_mm1_profit_guards():
 
 def test_oracle_guards():
     with pytest.raises(ValueError):
-        brute_force_oracle(BASE, "mm11-no-costs", resolution=50)
+        brute_force_oracle(BASE, "mm11", resolution=50)
     with pytest.raises(ValueError):
         brute_force_oracle(BASE, "not-a-model")
     with pytest.raises(ValueError):
-        brute_force_oracle(BASE.with_updates(K=4), "mm11-no-costs")
+        brute_force_oracle(BASE.with_updates(K=4), "mm11")
 
 
 def test_oracle_agrees_with_closed_form():
-    oracle = brute_force_oracle(BASE, "mm11-no-costs")
+    oracle = brute_force_oracle(BASE.with_updates(F=0.0, c=0.0), "mm11")
     closed = solve_mm11_no_costs(BASE)
     assert oracle.profit == pytest.approx(closed.profit, rel=1e-12)
     assert oracle.policy.lam == pytest.approx(closed.policy.lam, abs=1e-5)
