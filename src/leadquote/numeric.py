@@ -1,23 +1,28 @@
 """Numeric solvers: the finite-buffer profit problem, accept-all
 baselines, and a brute-force oracle for certifying the closed forms.
 
-All searches share one two-phase engine, _search: a dense coarse grid
-followed by shrinking local refinements around the incumbent, over lambda
-and u in [0, 1], which places the quote in a per-lambda band [lo, hi] and
-so keeps the search box rectangular.  The solvers run it with fixed grid
-constants; the oracle sets its steps from its resolution.
+Two searches run here.  The finite-buffer solver pins the quote as a
+function of lambda and searches lambda alone with _zoom: a coarse scan,
+then a few wide rounds around the incumbent.  Its cost is the number of
+sequential calls to the on-time kernel, which loops K times in Python per
+call, so few wide rounds beat many narrow ones (and beat golden-section
+or Brent steps, one sequential call each).  The accept-all baseline and
+the oracle run _search, a dense coarse grid followed by shrinking local
+refinements over lambda and u in [0, 1], which places the quote in a
+per-lambda band [lo, hi] and so keeps the search box rectangular.  The
+solvers run fixed grid constants; the oracle sets its steps from its
+resolution.
 
-The solvers pin the quote as a function of lambda, so the band has zero
-width and they search lambda alone.  For the accept-all M/M/1 benchmark
-the profit is concave in l at fixed lambda and the best quote is
-ln(x)/(mu - lambda), x = max{1/(1-s), b1 c/b2}: the single-slot rule
-closed_form.quote_level with mu - lambda for mu.  For the finite-buffer
-system the slope in l is c L_s g(l) - lambda_eff b2/b1, with g the
-log-concave sojourn density, so it is positive on one interval at most
-and the best quote is lo or that interval's right end (clipped to hi),
-found by Newton steps on log g.  lo, the service-level minimum, is a
-bracketed Newton search on the on-time probability.  Only the
-brute-force oracle searches the full band (_oracle_band), up to the
+For the accept-all M/M/1 benchmark the profit is concave in l at fixed
+lambda and the best quote is ln(x)/(mu - lambda),
+x = max{1/(1-s), b1 c/b2}: the single-slot rule closed_form.quote_level
+with mu - lambda for mu, so its band has zero width.  For the
+finite-buffer system the slope in l is c L_s g(l) - lambda_eff b2/b1,
+with g the log-concave sojourn density, so it is positive on one
+interval at most and the best quote is lo or that interval's right end
+(clipped to hi), found by Newton steps on log g.  lo, the service-level
+minimum, is a bracketed Newton search on the on-time probability.  Only
+the brute-force oracle searches the full band (_oracle_band), up to the
 zero-price bound (or a penalty-elimination cap when demand ignores lead
 time).
 
@@ -61,11 +66,15 @@ SERVICE_SLACK = 1e-9
 STABILITY_MARGIN = 1e-6
 
 # The solvers' lambda search: a coarse grid of _COARSE_POINTS intervals,
-# then _REFINE_ROUNDS local rounds, each shrinking the window by
-# _REFINE_SHRINK.
+# then local rounds, each shrinking the window.  _search (the baseline)
+# runs _REFINE_ROUNDS rounds of 9 points at _REFINE_SHRINK; _zoom (the
+# finite-buffer solver) runs _ZOOM_ROUNDS rounds of 129 points at
+# _ZOOM_SHRINK, which ends on the same spacing, since 64**4 = 4**12.
 _COARSE_POINTS = 400
 _REFINE_ROUNDS = 12
 _REFINE_SHRINK = 0.25
+_ZOOM_ROUNDS = 4
+_ZOOM_SHRINK = 1.0 / 64.0
 
 # Quote accuracy of the Newton searches, and a cap on their iterations;
 # they stop on a bracket width or a step size long before the cap.
@@ -150,6 +159,54 @@ def _search(objective, lam_hi, band, rounds=_REFINE_ROUNDS, step_lam=None, step_
         "l": best["l"],
         "profit": best["profit"],
         "found": np.isfinite(best["profit"]),
+        "evaluations": evals,
+        "refine_rounds": rounds_used,
+        "round_profits": round_profits,
+    }
+
+
+def _zoom(evaluate, lam_hi):
+    """Maximize a profit over lam in [0, lam_hi] with the quote pinned per lam.
+
+    evaluate(lam) returns (quote, profit, penalty) for a vector of rates:
+    profit is -inf where infeasible, and penalty marks quotes above the
+    service-level minimum.  A coarse scan of _COARSE_POINTS intervals
+    exposes a second peak; then each of _ZOOM_ROUNDS rounds spans the
+    incumbent's window of half-width w (first the coarse step) with
+    2/_ZOOM_SHRINK + 1 points and shrinks w by _ZOOM_SHRINK.  Every
+    round runs, as in _search.
+    """
+    step = lam_hi / _COARSE_POINTS if lam_hi > 0 else 1.0
+    offsets = np.linspace(-1.0, 1.0, int(round(2.0 / _ZOOM_SHRINK)) + 1)
+    evals = 0
+    best = {"profit": -np.inf, "lam": 0.0, "l": 0.0, "penalty": False}
+
+    def consider(lam):
+        nonlocal evals
+        quote, profit, penalty = evaluate(lam)
+        evals += lam.size
+        i = int(np.argmax(profit))
+        if np.isfinite(profit[i]) and profit[i] > best["profit"]:
+            best.update(profit=float(profit[i]), lam=float(lam[i]), l=float(quote[i]),
+                        penalty=bool(penalty[i]))
+
+    consider(_axis(0.0, lam_hi, step))
+    round_profits = [best["profit"]]
+    rounds_used = 0
+    for _ in range(_ZOOM_ROUNDS):
+        if not np.isfinite(best["profit"]):
+            break
+        consider(np.unique(np.clip(best["lam"] + step * offsets, 0.0, lam_hi)))
+        rounds_used += 1
+        round_profits.append(best["profit"])
+        step *= _ZOOM_SHRINK
+
+    return {
+        "lam": best["lam"],
+        "l": best["l"],
+        "profit": best["profit"],
+        "found": np.isfinite(best["profit"]),
+        "branch": PENALTY_BINDING if best["penalty"] else SERVICE_BINDING,
         "evaluations": evals,
         "refine_rounds": rounds_used,
         "round_profits": round_profits,
@@ -276,7 +333,10 @@ def _numeric_solution(params: MarketParams, result: dict, extra: dict) -> Soluti
         branch = quote_level(params)[1]
     else:
         attained = mm1k_ontime_prob(lam, params.mu, params.K, l)
-        branch = SERVICE_BINDING if attained <= params.s + 1e-6 else PENALTY_BINDING
+        # The finite-buffer solver knows which end it quoted; the oracle,
+        # which searches the full band, reads it off the attained level.
+        branch = result.get("branch") or (
+            SERVICE_BINDING if attained <= params.s + 1e-6 else PENALTY_BINDING)
     return Solution(
         policy=Policy(p=p, l=l, lam=lam),
         profit=result["profit"],
@@ -294,33 +354,51 @@ def pinned_quote(lam, params: MarketParams):
     bound, profit at fixed lam has slope c L_s g(l) - lambda_eff b2/b1 in
     l.  The sojourn density g is log-concave, so the slope is positive on
     one interval at most, and the best quote is lo or that interval's right
-    end r clipped to hi, whichever earns more.  r is the largest root of
-    phi(l) = log g(l) - log(lambda_eff b2 / (b1 c L_s)), found by Newton
-    steps that approach it from the right: g falls on [m, oo) with
-    m = max(lo, (K - 1)/mu) for rho > 1 and m = lo otherwise, and from m a
-    step lands right of r by concavity, after which the iterates fall
-    monotonically to r.  Reaching the rising side of g or passing below lo
-    means there is no r above lo.  b2 = 0 pins the penalty-elimination cap
-    (profit never falls in l); c = 0 or lam = 0 pins lo.  Vectorized over
+    end r clipped to hi, whichever earns more (lo on a tie).  r is the
+    largest root of phi(l) = log g(l) - log(lambda_eff b2 / (b1 c L_s)),
+    found by Newton steps that approach it from the right: g falls on
+    [m, oo) with m = max(lo, (K - 1)/mu) for rho > 1 and m = lo otherwise,
+    and from m a step lands right of r by concavity, after which the
+    iterates fall monotonically to r.  Reaching the rising side of g or
+    passing below lo means there is no r above lo.  c = 0 or lam = 0 pins
+    lo, since profit then never rises in l (with b2 = 0 as well it is flat,
+    and the tie goes to the smallest quote); b2 = 0 with c > 0 pins the
+    penalty-elimination cap (profit never falls in l).  Vectorized over
     lam.
     """
-    a, b2, mu, c = params.a, params.b2, params.mu, params.c
     scalar = np.isscalar(lam)
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    lo = np.atleast_1d(min_leadtime_for_service(lam, params))
-    if b2 == 0:
-        quote = _leadtime_cap(lo, mu)
-    else:
-        quote = lo.copy()
-        rows = np.flatnonzero((lam > 0) & (c > 0) & ((a - lam) / b2 > lo))
-        if rows.size:
-            quote[rows] = _penalty_quote(lam[rows], lo[rows], params)
+    quote = _pinned(np.atleast_1d(np.asarray(lam, dtype=float)), params)[0]
     return float(quote[0]) if scalar else quote
 
 
-def _penalty_quote(lam, lo, params: MarketParams):
-    """The better of lo and the clipped right end r (see pinned_quote), for
-    rows with lam > 0 and lo below the zero-price bound."""
+def _pinned(lam, params: MarketParams):
+    """pinned_quote at a vector of rates, with the profit there and a mask
+    of the rows quoted above lo (r or the cap).  Choosing between lo and
+    r takes one objective call over the rows [lo; r]."""
+    a, b2, mu, c = params.a, params.b2, params.mu, params.c
+    objective = _mm1k_objective(params)
+    lo = np.atleast_1d(min_leadtime_for_service(lam, params))
+    if c > 0 and b2 == 0:
+        quote = _leadtime_cap(lo, mu)
+        return quote, objective(lam, quote), np.ones(lam.shape, dtype=bool)
+    rows = np.flatnonzero((lam > 0) & ((a - lam) / b2 > lo)) if c > 0 else np.arange(0)
+    root = _right_end(lam[rows], lo[rows], params) if rows.size else np.zeros(0)
+    found = np.isfinite(root)
+    rows = rows[found]
+    # A root that converged onto lo may sit up to QUOTE_TOL below it.
+    r = np.maximum(root[found], lo[rows])
+    profit = objective(np.concatenate([lam, lam[rows]]), np.concatenate([lo, r]))
+    profit, at_r = profit[:lam.size], profit[lam.size:]
+    better = at_r > profit[rows]
+    rows, quote, penalty = rows[better], lo.copy(), np.zeros(lam.shape, dtype=bool)
+    quote[rows], profit[rows], penalty[rows] = r[better], at_r[better], True
+    return quote, profit, penalty
+
+
+def _right_end(lam, lo, params: MarketParams):
+    """The right end r (see pinned_quote) clipped to the zero-price bound,
+    NaN where there is none above lo, for rows with lam > 0 and lo below
+    that bound."""
     a, b1, b2, mu, K, c = params.a, params.b1, params.b2, params.mu, params.K, params.c
     hi = (a - lam) / b2
     leff = lam * (1.0 - mm1k_blocking(lam, mu, K))
@@ -348,29 +426,19 @@ def _penalty_quote(lam, lo, params: MarketParams):
         root[live[done]] = np.where(at_cap, xs, nxt)[done]
         x[live] = nxt
         live = live[~(done | lost)]
-    found = np.flatnonzero(np.isfinite(root))
-    quote = lo.copy()
-    if found.size:
-        # A root that converged onto lo may sit up to QUOTE_TOL below it.
-        r, objective = np.maximum(root[found], lo[found]), _mm1k_objective(params)
-        better = objective(lam[found], r) > objective(lam[found], lo[found])
-        quote[found] = np.where(better, r, lo[found])
-    return quote
+    return root
 
 
 def solve_mm1k_numeric(params: MarketParams) -> Solution:
     """Optimal policy of the finite-buffer system by a search over lambda.
 
-    The quote at each lambda is pinned by pinned_quote, so the grid search
-    runs on a zero-width band.  Declared infeasible when no grid point
-    attains nonnegative price, the service level, and nonnegative profit.
+    The quote at each lambda is pinned by pinned_quote, and _zoom searches
+    lambda alone.  Declared infeasible when no rate attains nonnegative
+    price, the service level, and nonnegative profit.  The branch is
+    service-binding where the quote is the service-level minimum and
+    penalty-binding where it is above.
     """
-
-    def band(lam):
-        quote = pinned_quote(lam, params)
-        return quote, quote
-
-    result = _search(_mm1k_objective(params), params.a, band)
+    result = _zoom(lambda lam: _pinned(lam, params), params.a)
     return _numeric_solution(params, result, {"model": "mm1k", "K": params.K})
 
 

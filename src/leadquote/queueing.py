@@ -13,10 +13,11 @@ geometric with ratio rho over 0..K-1.  That yields the on-time probability
 P(W <= l) used by the service-level constraint.
 
 All rate/time arguments accept floats or numpy arrays and broadcast like
-ufuncs; K is always a scalar int.  rho is treated as exactly critical when
-|rho - 1| <= 1e-9, where the formulas switch to their continuous limits.
-Powers of rho are always taken of min(rho, 1/rho) so nothing overflows for
-large K or rho.
+ufuncs; K is always a scalar int.  A negative or non-finite rate or lead
+time raises ValueError rather than returning nan.  rho is treated as
+exactly critical when |rho - 1| <= 1e-9, where the formulas switch to
+their continuous limits.  Powers of rho are always taken of
+min(rho, 1/rho) so nothing overflows for large K or rho.
 """
 
 from __future__ import annotations
@@ -35,12 +36,14 @@ _RENORM_EVERY = 8
 
 
 def _check_rates(lam, mu: float, K: int) -> None:
-    if not mu > 0:
-        raise ValueError(f"service rate mu must be positive, got {mu}")
+    # The comparisons fail on nan, so a non-finite rate never passes.
+    if not 0 < mu < math.inf:
+        raise ValueError(f"service rate mu must be positive and finite, got {mu}")
     if not (isinstance(K, (int, np.integer)) and K >= 1):
         raise ValueError(f"capacity K must be an integer >= 1, got {K}")
-    if np.any(np.asarray(lam) < 0):
-        raise ValueError("arrival rate lambda must be >= 0")
+    lam = np.asarray(lam)
+    if not ((lam >= 0) & (lam < math.inf)).all():
+        raise ValueError("arrival rate lambda must be finite and >= 0")
 
 
 def _ret(x: np.ndarray, scalar: bool):
@@ -125,8 +128,8 @@ def mm1k_ontime_prob(lam, mu: float, K: int, l, log_density: bool = False):
     scalar = np.isscalar(lam) and np.isscalar(l)
     lam, lead = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(l, dtype=float))
     rho, near_one, idle, t = _load(lam, mu, K)
-    if np.any(lead < 0):
-        raise ValueError("lead time l must be >= 0")
+    if not ((lead >= 0) & (lead < math.inf)).all():
+        raise ValueError("lead time l must be finite and >= 0")
     # log w_0; for rho > 1 it is log of (1-q) q^(K-1) / (1-q^K), q = 1/rho = t.
     log_w0 = np.log1p(-t) - np.log1p(-(t**K))
     log_w0 = np.where(rho > 1.0, log_w0 + (K - 1) * np.log(t), log_w0)

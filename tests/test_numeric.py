@@ -25,6 +25,7 @@ from leadquote import (
     solve_mm1_baseline,
     solve_mm1k_numeric,
 )
+from leadquote import numeric
 from leadquote.certify import random_params
 from leadquote.numeric import pinned_quote
 from leadquote.queueing import erlang_quantile_bracket
@@ -122,10 +123,11 @@ def _interval_inside_mode_bound_case():
         (BASE.with_updates(a=60.0, b2=1.0, c=60.0, s=0.2, K=8), 20.0),
         (BASE.with_updates(b2=0.0, K=5), 5.0),
         (BASE.with_updates(c=0.0, b2=2.0, K=5), 5.0),
+        (BASE.with_updates(c=0.0, b2=0.0, K=5), 5.0),
         _interval_inside_mode_bound_case(),
     ],
     ids=["base-K5-light", "base-K5-overloaded", "a70-b2-5-K200", "rho2-s0.2-lo-left-of-mode",
-         "b2-zero", "c-zero", "interval-inside-mode-bound"],
+         "b2-zero", "c-zero", "b2-and-c-zero", "interval-inside-mode-bound"],
 )
 def test_pinned_quote_is_the_best_quote_in_band(params, lam):
     lo, scanned, step, profit = _best_scanned_quote(lam, params)
@@ -134,7 +136,7 @@ def test_pinned_quote_is_the_best_quote_in_band(params, lam):
     assert profit(quote) >= profit(scanned) - 1e-12 * (1.0 + abs(profit(scanned)))
     if params.c == 0.0:
         assert quote == lo
-    if params.b2 == 0.0:
+    elif params.b2 == 0.0:
         assert quote == pytest.approx(lo + math.log(1e12) / params.mu, rel=1e-15)
 
 
@@ -156,8 +158,70 @@ def test_pinned_quote_single_slot_closed_form(b2, s):
 
 def test_finite_buffer_search_is_one_dimensional():
     sol = solve_mm1k_numeric(BASE.with_updates(a=70.0, b2=5.0, K=20))
-    # 401 coarse rates plus at most 12 refinement rounds of 9, one quote each
-    assert sol.diagnostics["evaluations"] <= 401 + 12 * 9
+    # 401 coarse rates plus 4 zoom rounds of 129 around an interior
+    # optimum, one quote each
+    assert sol.diagnostics["evaluations"] == 401 + 4 * 129
+    assert sol.diagnostics["refine_rounds"] == 4
+    assert len(sol.diagnostics["round_profits"]) == 5
+
+
+def test_finite_buffer_solve_makes_few_ontime_calls(monkeypatch):
+    # Time goes to sequential on-time kernel calls, each a K-step loop.
+    # 12 rounds of 9 points with three objective calls per round make 90
+    # calls here; the wide rounds must make at most half as many.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return mm1k_ontime_prob(*args, **kwargs)
+
+    monkeypatch.setattr(numeric, "mm1k_ontime_prob", counted)
+    sol = solve_mm1k_numeric(BASE.with_updates(a=70.0, b2=5.0, K=20))
+    assert sol.feasible
+    assert len(calls) <= 45
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 20),
+       zeroed=st.sampled_from([None, None, "b2", "c"]))
+def test_finite_buffer_solve_matches_the_oracle(seed, K, zeroed):
+    params = random_params(np.random.default_rng(seed), costs_on=True).with_updates(K=K)
+    if zeroed:
+        params = params.with_updates(**{zeroed: 0.0})
+    sol = solve_mm1k_numeric(params)
+    oracle = brute_force_oracle(params, "mm1k", resolution=160)
+    assert sol.profit >= oracle.profit - 1e-9 * abs(oracle.profit)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), K=st.sampled_from([1, 1, 3, 12]),
+       zeroed=st.sampled_from([(), (), ("b2",), ("c",), ("b2", "c")]))
+def test_finite_buffer_branch_names_the_quoted_end(seed, K, zeroed):
+    params = random_params(np.random.default_rng(seed), costs_on=True)
+    params = params.with_updates(K=K, **dict.fromkeys(zeroed, 0.0))
+    sol = solve_mm1k_numeric(params)
+    if not sol.feasible:
+        return
+    at_floor = sol.policy.l == min_leadtime_for_service(sol.policy.lam, params)
+    assert sol.branch == ("service-binding" if at_floor else "penalty-binding")
+    if params.c == 0.0:
+        assert at_floor
+    elif params.b2 == 0.0:
+        assert not at_floor
+    if K == 1:
+        assert sol.branch == solve_mm11_with_costs(params).branch
+
+
+def test_single_slot_without_lead_time_pressure_or_penalty_quotes_the_floor():
+    # b2 = 0 and c = 0: profit does not depend on the quote, so the
+    # smallest one wins, as in the single-slot closed form
+    params = BASE.with_updates(a=50.0, b2=0.0, c=0.0)
+    numeric_sol = solve_mm1k_numeric(params)
+    closed = solve_mm11_with_costs(params)
+    assert numeric_sol.branch == closed.branch == "service-binding"
+    assert numeric_sol.policy.l == pytest.approx(closed.policy.l, rel=1e-9)
+    assert numeric_sol.policy.lam == pytest.approx(closed.policy.lam, rel=1e-6)
+    assert numeric_sol.profit == pytest.approx(closed.profit, rel=1e-12)
 
 
 def test_numeric_single_slot_matches_closed_form():

@@ -168,6 +168,27 @@ def test_input_validation():
         mm1k_ontime_prob(5.0, 10.0, 2, -0.1)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_inputs_raise(bad):
+    # each used to return nan or a plausible number, e.g. a blocking
+    # probability of 0 at mu = inf
+    for kernel in (mm1k_blocking, mm1k_mean_number):
+        with pytest.raises(ValueError, match="finite"):
+            kernel(bad, 10.0, 3)
+        with pytest.raises(ValueError, match="finite"):
+            kernel(np.array([5.0, bad]), 10.0, 3)
+        with pytest.raises(ValueError, match="finite"):
+            kernel(5.0, bad, 3)
+    with pytest.raises(ValueError, match="finite"):
+        mm1k_ontime_prob(bad, 10.0, 3, 0.3)
+    with pytest.raises(ValueError, match="finite"):
+        mm1k_ontime_prob(5.0, bad, 3, 0.3)
+    with pytest.raises(ValueError, match="finite"):
+        mm1k_ontime_prob(5.0, 10.0, 3, bad)
+    with pytest.raises(ValueError, match="finite"):
+        mm1k_ontime_prob(5.0, 10.0, 3, np.array([0.3, bad]), log_density=True)
+
+
 def _gammainc_ontime(lam, mu, K, l):
     """P(W <= l) as sum_k w_k gammainc(k+1, mu l), w_k proportional to rho^k,
     with the weights normalized in log space."""
