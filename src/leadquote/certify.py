@@ -185,7 +185,7 @@ def check_single_slot_reduction(n: int = 100, seed: int = 7,
             lam=float(rng.uniform(0.0, params.a)),
         )
         a_val = mm1k_profit(policy, params)
-        b_val = mm11_profit(policy, params, costs_on=True)
+        b_val = mm11_profit(policy, params)
         worst = max(worst, abs(a_val - b_val) / max(1.0, abs(b_val)))
     return PropertyResult(
         "single-slot-reduction", worst <= tol,

@@ -174,13 +174,12 @@ def _parse_policy(text: str) -> Policy:
         raise ConfigError("policy must be 'price,leadtime,lambda'")
     try:
         p, l, lam = (float(tok) for tok in parts)
+        policy = Policy(p=p, l=l, lam=lam)
     except ValueError as exc:
         raise ConfigError(f"bad policy {text!r}: {exc}") from exc
-    if not all(math.isfinite(v) for v in (p, l, lam)):
-        raise ConfigError(f"bad policy {text!r}: every field must be finite")
-    if l < 0 or lam <= 0:
-        raise ConfigError("policy needs leadtime >= 0 and lambda > 0")
-    return Policy(p=p, l=l, lam=lam)
+    if lam <= 0:
+        raise ConfigError("policy needs lambda > 0")
+    return policy
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:

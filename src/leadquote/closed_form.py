@@ -94,23 +94,18 @@ def _infeasible(params: MarketParams, diagnostics: dict) -> Solution:
     )
 
 
-def mm11_profit(policy: Policy, params: MarketParams, costs_on: bool) -> float:
+def mm11_profit(policy: Policy, params: MarketParams) -> float:
     """Expected profit rate of the single-slot system at a given policy.
 
-    Revenue lambda_eff*(p - m), minus (when costs_on) holding F*L and the
-    lateness exposure c*lambda_eff*exp(-mu*l)/mu; all three share the
-    denominator mu + lambda.
+    lambda*(mu*(p - m) - F - c*exp(-mu*l))/(mu + lambda): revenue
+    lambda_eff*(p - m) with lambda_eff = lambda*mu/(mu + lambda), minus
+    holding F*L and the lateness exposure c*lambda_eff*exp(-mu*l)/mu, which
+    share that denominator.  Costs off means F = c = 0.
     """
     _require_single_slot(params, "mm11_profit")
     lam, mu = policy.lam, params.mu
-    if lam < 0:
-        raise ValueError("policy demand rate must be >= 0")
-    if policy.l < 0:
-        raise ValueError("policy lead time must be >= 0")
-    margin = mu * (policy.p - params.m)
-    if costs_on:
-        margin -= params.F + params.c * math.exp(-mu * policy.l)
-    return lam * margin / (mu + lam)
+    return lam * (mu * (policy.p - params.m) - params.F
+                  - params.c * math.exp(-mu * policy.l)) / (mu + lam)
 
 
 def critical_service_level(params: MarketParams) -> float:
@@ -181,15 +176,10 @@ def solve_mm11_with_costs(params: MarketParams) -> Solution:
     if radicand < 0:
         raise ArithmeticError(f"negative discriminant {radicand} on a feasible instance")
     lam_star = max(-mu + math.sqrt(radicand), 0.0)
-    p_star = inverse_price(lam_star, l_star, params)
-    profit = (
-        lam_star * (mu * (p_star - m) - F - penalty_residual) / (mu + lam_star)
-        if lam_star > 0
-        else 0.0
-    )
+    policy = Policy(p=inverse_price(lam_star, l_star, params), l=l_star, lam=lam_star)
     return Solution(
-        policy=Policy(p=p_star, l=l_star, lam=lam_star),
-        profit=profit,
+        policy=policy,
+        profit=mm11_profit(policy, params) if lam_star > 0 else 0.0,
         feasible=True,
         service_level_attained=attained,
         branch=branch,

@@ -95,11 +95,20 @@ class MarketParams:
 
 @dataclass(frozen=True)
 class Policy:
-    """A firm decision: posted price, quoted lead time, induced demand rate."""
+    """A firm decision: posted price, quoted lead time, induced demand rate.
+    Raises ValueError unless every field is finite and l, lam >= 0."""
 
     p: float
     l: float
     lam: float
+
+    def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.p, self.l, self.lam)):
+            raise ValueError(f"policy fields must be finite numbers, got {self}")
+        if self.l < 0:
+            raise ValueError(f"policy lead time l must be >= 0, got {self.l}")
+        if self.lam < 0:
+            raise ValueError(f"policy demand rate lam must be >= 0, got {self.lam}")
 
     def to_dict(self) -> dict:
         return {"p": self.p, "l": self.l, "lambda": self.lam}

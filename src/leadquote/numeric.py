@@ -264,21 +264,25 @@ def min_leadtime_for_service(lam, params: MarketParams, tol: float = QUOTE_TOL):
     return float(hi[0]) if scalar else hi
 
 
+def _mm1k_rate(lam, p, ontime, params: MarketParams):
+    """The profit rate of mm1k_profit, vectorized, given the on-time
+    probability at the quote, so a caller that needs it too computes it
+    once."""
+    mu, K = params.mu, params.K
+    block = mm1k_blocking(lam, mu, K)
+    ls = mm1k_mean_number(lam, mu, K)
+    leff = lam * (1.0 - block)
+    return leff * (p - params.m) - params.F * ls - params.c * ls * (1.0 - ontime)
+
+
 def _mm1k_objective(params: MarketParams):
-    a, b1, b2, m = params.a, params.b1, params.b2, params.m
-    mu, K, s, F, c = params.mu, params.K, params.s, params.F, params.c
+    a, b1, b2, mu, K, s = params.a, params.b1, params.b2, params.mu, params.K, params.s
 
     def objective(lam, L):
         p = (a - b2 * L - lam) / b1
-        block = mm1k_blocking(lam, mu, K)
-        ls = mm1k_mean_number(lam, mu, K)
-        leff = lam * (1.0 - block)
         ontime = mm1k_ontime_prob(lam, mu, K, L)
-        # Lateness term c * leff * P(late) * W collapses to c * ls * P(late)
-        # by Little's law, which stays defined at lambda = 0.
-        profit = leff * (p - m) - F * ls - c * ls * (1.0 - ontime)
         ok = (p >= -PRICE_SLACK) & (ontime >= s - SERVICE_SLACK)
-        return np.where(ok, profit, -np.inf)
+        return np.where(ok, _mm1k_rate(lam, p, ontime, params), -np.inf)
 
     return objective
 
@@ -286,20 +290,14 @@ def _mm1k_objective(params: MarketParams):
 def mm1k_profit(policy: Policy, params: MarketParams) -> float:
     """Expected profit rate of the finite-buffer system at a given policy.
 
-    Pure evaluator: the service-level constraint is not checked here.
+    leff*(p - m) - F*L - c*L*P(late): the lateness term
+    c*leff*P(late)*W collapses to c*L*P(late) by Little's law, which stays
+    defined (and 0) at lambda = 0.  Pure evaluator: the service-level
+    constraint is not checked here.  Costs off means F = c = 0.
     """
-    if policy.lam < 0:
-        raise ValueError("policy demand rate must be >= 0")
-    if policy.l < 0:
-        raise ValueError("policy lead time must be >= 0")
-    lam, mu, K = policy.lam, params.mu, params.K
-    if lam == 0.0:
-        return 0.0
-    block = mm1k_blocking(lam, mu, K)
-    ls = mm1k_mean_number(lam, mu, K)
-    leff = lam * (1.0 - block)
-    ontime = mm1k_ontime_prob(lam, mu, K, policy.l)
-    return leff * (policy.p - params.m) - params.F * ls - params.c * ls * (1.0 - ontime)
+    lam = policy.lam
+    ontime = mm1k_ontime_prob(lam, params.mu, params.K, policy.l)
+    return float(_mm1k_rate(lam, policy.p, ontime, params))
 
 
 def _leadtime_cap(lo, rate):
@@ -307,14 +305,19 @@ def _leadtime_cap(lo, rate):
     return lo + math.log(1.0 / PENALTY_ELIMINATION) / rate
 
 
+def _mm1_rate(lam, p, l, params: MarketParams):
+    """The profit rate of mm1_profit, vectorized."""
+    slack = params.mu - lam
+    return (lam * (p - params.m) - params.F * lam / slack
+            - params.c * lam * np.exp(-slack * l) / slack)
+
+
 def _mm1_objective(params: MarketParams):
-    a, b1, b2, m, mu, F, c = params.a, params.b1, params.b2, params.m, params.mu, params.F, params.c
+    a, b1, b2 = params.a, params.b1, params.b2
 
     def objective(lam, L):
         p = (a - b2 * L - lam) / b1
-        slack = mu - lam
-        profit = lam * (p - m) - F * lam / slack - c * lam * np.exp(-slack * L) / slack
-        return np.where(p >= -PRICE_SLACK, profit, -np.inf)
+        return np.where(p >= -PRICE_SLACK, _mm1_rate(lam, p, L, params), -np.inf)
 
     return objective
 
@@ -442,23 +445,16 @@ def solve_mm1k_numeric(params: MarketParams) -> Solution:
     return _numeric_solution(params, result, {"model": "mm1k", "K": params.K})
 
 
-def mm1_profit(policy: Policy, params: MarketParams, costs_on: bool) -> float:
+def mm1_profit(policy: Policy, params: MarketParams) -> float:
     """Expected profit rate of the accept-all M/M/1 benchmark at a policy.
 
-    Revenue lambda*(p-m); with costs also holding F*lambda/(mu-lambda) and
-    lateness c*lambda*exp(-(mu-lambda)l)/(mu-lambda).  Needs lambda < mu.
+    Revenue lambda*(p-m), minus holding F*lambda/(mu-lambda) and lateness
+    c*lambda*exp(-(mu-lambda)l)/(mu-lambda).  Needs lambda < mu.  Costs
+    off means F = c = 0.
     """
-    lam, mu = policy.lam, params.mu
-    if lam < 0:
-        raise ValueError("policy demand rate must be >= 0")
-    if lam >= mu:
+    if policy.lam >= params.mu:
         raise ValueError("accept-all benchmark needs a stable queue (lambda < mu)")
-    profit = lam * (policy.p - params.m)
-    if costs_on:
-        slack = mu - lam
-        profit -= params.F * lam / slack
-        profit -= params.c * lam * math.exp(-slack * policy.l) / slack
-    return profit
+    return float(_mm1_rate(policy.lam, policy.p, policy.l, params))
 
 
 def solve_mm1_baseline(params: MarketParams, costs_on: bool) -> Solution:

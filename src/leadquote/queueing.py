@@ -46,6 +46,12 @@ def _check_rates(lam, mu: float, K: int) -> None:
         raise ValueError("arrival rate lambda must be finite and >= 0")
 
 
+def _check_lead(l) -> None:
+    l = np.asarray(l)
+    if not ((l >= 0) & (l < math.inf)).all():
+        raise ValueError("lead time l must be finite and >= 0")
+
+
 def _ret(x: np.ndarray, scalar: bool):
     return float(x) if scalar else x
 
@@ -128,8 +134,7 @@ def mm1k_ontime_prob(lam, mu: float, K: int, l, log_density: bool = False):
     scalar = np.isscalar(lam) and np.isscalar(l)
     lam, lead = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(l, dtype=float))
     rho, near_one, idle, t = _load(lam, mu, K)
-    if not ((lead >= 0) & (lead < math.inf)).all():
-        raise ValueError("lead time l must be finite and >= 0")
+    _check_lead(lead)
     # log w_0; for rho > 1 it is log of (1-q) q^(K-1) / (1-q^K), q = 1/rho = t.
     log_w0 = np.log1p(-t) - np.log1p(-(t**K))
     log_w0 = np.where(rho > 1.0, log_w0 + (K - 1) * np.log(t), log_w0)
@@ -171,10 +176,8 @@ def mm1k_ontime_prob(lam, mu: float, K: int, l, log_density: bool = False):
 
 def mm1_ontime_prob(lam, mu: float, l):
     """P(sojourn <= l) = 1 - exp(-(mu-lambda) l) for the stable M/M/1 queue."""
-    if not mu > 0:
-        raise ValueError(f"service rate mu must be positive, got {mu}")
-    if np.any(np.asarray(lam) < 0):
-        raise ValueError("arrival rate lambda must be >= 0")
+    _check_rates(lam, mu, 1)
+    _check_lead(l)
     if np.any(np.asarray(lam) >= mu):
         raise ValueError("unstable queue: lambda must be < mu for the M/M/1 law")
     scalar = np.isscalar(lam) and np.isscalar(l)

@@ -102,8 +102,8 @@ def _drain(policy: Policy, params: MarketParams, horizon: float, seed: int):
     lam, K = policy.lam, params.K
     if lam <= 0:
         raise ValueError("simulation needs a positive demand rate")
-    if horizon <= 0:
-        raise ValueError("simulation horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"simulation horizon must be positive and finite, got {horizon}")
     root = np.random.SeedSequence(seed)
     arr_rng, svc_rng = (np.random.default_rng(s) for s in root.spawn(2))
     next_service = chain.from_iterable(
@@ -160,10 +160,6 @@ def simulate(policy: Policy, params: MarketParams, horizon: float, seed: int = 0
     structure with empirical factors (throughput * P(late) * mean sojourn
     for the lateness exposure) and the exact per-job lateness (W - l)+.
     """
-    if not all(math.isfinite(v) for v in (policy.p, policy.l, policy.lam, horizon)):
-        raise ValueError("simulation needs a finite policy and horizon")
-    if policy.l < 0:
-        raise ValueError("simulation needs a lead time l >= 0")
     arr, dep, blk = _drain(policy, params, horizon, seed)
     t0 = WARMUP_FRACTION * horizon
     window = horizon - t0

@@ -345,7 +345,7 @@ def test_criterion_7_single_slot_reduction_identities():
         worst_identity = max(
             worst_identity, abs(general - single) / max(1.0, abs(single))
         )
-        assert mm11_profit(policy, params, costs_on=True) == pytest.approx(single, rel=1e-12)
+        assert mm11_profit(policy, params) == pytest.approx(single, rel=1e-12)
 
     worst_solver = 0.0
     instances = [

@@ -205,6 +205,7 @@ def test_simulate_infeasible_instance(capsys):
 def test_simulate_rejects_bad_policy(capsys):
     assert main(["simulate", "--policy", "9.0,0.3"]) == EXIT_CONFIG
     assert main(["simulate", "--policy", "9.0,0.3,0.0"]) == EXIT_CONFIG
+    assert main(["simulate", "--policy", "9.0,-1.0,5.0"]) == EXIT_CONFIG
     assert main(["simulate", "--horizon", "-5"]) == EXIT_CONFIG
 
 

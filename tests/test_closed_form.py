@@ -121,7 +121,7 @@ def test_requires_single_slot():
     with pytest.raises(ValueError):
         solve_mm11_with_costs(params)
     with pytest.raises(ValueError):
-        mm11_profit(Policy(p=6.0, l=0.3, lam=2.0), params, costs_on=True)
+        mm11_profit(Policy(p=6.0, l=0.3, lam=2.0), params)
 
 
 def test_infeasible_returns_null_policy():
@@ -176,7 +176,7 @@ def test_penalty_elimination_when_demand_ignores_lead_time():
     assert sol.service_level_attained == pytest.approx(1.0, abs=1e-12)
     # stretching the quote must not have cost anything relative to l = z/mu
     short = Policy(p=sol.policy.p, l=params.z / params.mu, lam=sol.policy.lam)
-    assert sol.profit >= mm11_profit(short, params, costs_on=True)
+    assert sol.profit >= mm11_profit(short, params)
     # one cap in all three systems: the service floor plus ln(1e12)/rate
     stretch = params.z + math.log(1e12)
     assert sol.policy.l == pytest.approx(stretch / params.mu, rel=1e-14)
@@ -190,14 +190,17 @@ def test_penalty_elimination_when_demand_ignores_lead_time():
 
 def test_profit_evaluator_hand_values():
     pol = Policy(p=6.0, l=0.3, lam=2.0)
-    off = mm11_profit(pol, BASE, costs_on=False)
+    # costs off is F = c = 0: revenue only, lam*mu*(p - m)/(mu + lam)
+    off = mm11_profit(pol, BASE.with_updates(F=0.0, c=0.0))
     assert off == pytest.approx(2.0 * 10.0 * 1.0 / 12.0, rel=1e-14)
-    on = mm11_profit(pol, BASE, costs_on=True)
+    on = mm11_profit(pol, BASE)
     assert on == pytest.approx(2.0 * (10.0 - 2.0 - 10.0 * math.exp(-3.0)) / 12.0, rel=1e-14)
     with pytest.raises(ValueError):
-        mm11_profit(Policy(p=6.0, l=0.3, lam=-1.0), BASE, costs_on=True)
+        mm11_profit(Policy(p=6.0, l=0.3, lam=-1.0), BASE)
     with pytest.raises(ValueError):
-        mm11_profit(Policy(p=6.0, l=-0.1, lam=2.0), BASE, costs_on=True)
+        mm11_profit(Policy(p=6.0, l=-0.1, lam=2.0), BASE)
+    with pytest.raises(ValueError, match="finite"):
+        mm11_profit(Policy(p=6.0, l=0.3, lam=math.nan), BASE)
 
 
 def test_solution_round_trips_through_dict():
@@ -212,15 +215,16 @@ def test_solution_round_trips_through_dict():
 def test_local_optimality(solver, costs_on):
     sol = solver(BASE)
     best = sol.profit
+    market = BASE if costs_on else BASE.with_updates(F=0.0, c=0.0)
     eps = 1e-5
     for dlam in (-eps, eps):
         lam = sol.policy.lam + dlam
         pol = Policy(p=inverse_price_at(lam, sol.policy.l), l=sol.policy.l, lam=lam)
-        assert mm11_profit(pol, BASE, costs_on) <= best + 1e-12
+        assert mm11_profit(pol, market) <= best + 1e-12
     # lengthening the quote from the binding value must not help either
     lam = sol.policy.lam
     longer = Policy(p=inverse_price_at(lam, sol.policy.l + eps), l=sol.policy.l + eps, lam=lam)
-    assert mm11_profit(longer, BASE, costs_on) <= best + 1e-12
+    assert mm11_profit(longer, market) <= best + 1e-12
 
 
 def inverse_price_at(lam: float, l: float) -> float:

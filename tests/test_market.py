@@ -93,6 +93,17 @@ def test_params_json_roundtrip():
     assert keys == {"a", "b1", "b2", "mu", "m", "s", "F", "c", "K"}
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [(f, v) for f in ("p", "l", "lam") for v in (math.nan, math.inf, -math.inf)]
+    + [("l", -0.1), ("lam", -1.0)],
+)
+def test_policy_validation(field, value):
+    kwargs = {"p": 9.0, "l": 0.3, "lam": 5.0, field: value}
+    with pytest.raises(ValueError, match="finite" if not math.isfinite(value) else ">= 0"):
+        Policy(**kwargs)
+
+
 def test_policy_roundtrip():
     pol = Policy(p=5.54, l=0.3, lam=1.83)
     assert Policy.from_dict(pol.to_dict()) == pol

@@ -294,7 +294,7 @@ def test_accept_all_baseline_with_costs():
     assert sol.feasible
     assert sol.profit == pytest.approx(0.320758468733, rel=1e-9)
     assert sol.policy.lam == pytest.approx(0.836716845097, abs=1e-4)
-    assert sol.profit == pytest.approx(mm1_profit(sol.policy, BASE, costs_on=True), rel=1e-12)
+    assert sol.profit == pytest.approx(mm1_profit(sol.policy, BASE), rel=1e-12)
 
 
 def test_accept_all_baseline_respects_stability():
@@ -333,17 +333,23 @@ def test_costed_baseline_pins_the_best_quote(seed, zeroed):
     hi = (params.a - lam) / params.b2 if params.b2 > 0 else lo + math.log(1e12) / slack
     for l in np.linspace(lo, max(hi, lo), 2001):
         price = (params.a - params.b2 * l - lam) / params.b1
-        scanned = mm1_profit(Policy(p=price, l=float(l), lam=lam), params, costs_on=True)
+        scanned = mm1_profit(Policy(p=price, l=float(l), lam=lam), params)
         assert scanned <= sol.profit + 1e-12 * (1.0 + abs(sol.profit))
 
 
 def test_mm1_profit_guards():
     with pytest.raises(ValueError):
-        mm1_profit(Policy(p=6.0, l=0.3, lam=10.0), BASE, costs_on=True)
+        mm1_profit(Policy(p=6.0, l=0.3, lam=10.0), BASE)
     with pytest.raises(ValueError):
-        mm1_profit(Policy(p=6.0, l=0.3, lam=-0.5), BASE, costs_on=False)
-    lone = mm1_profit(Policy(p=6.0, l=0.3, lam=2.0), BASE, costs_on=False)
+        mm1_profit(Policy(p=6.0, l=0.3, lam=-0.5), BASE)
+    # costs off is F = c = 0: revenue lam*(p - m) only
+    lone = mm1_profit(Policy(p=6.0, l=0.3, lam=2.0), BASE.with_updates(F=0.0, c=0.0))
     assert lone == pytest.approx(2.0 * 1.0, rel=1e-14)
+    # a bad quote fails where the Policy is built, before any evaluation
+    with pytest.raises(ValueError, match="lead time"):
+        mm1_profit(Policy(p=6.0, l=-1.0, lam=2.0), BASE)
+    with pytest.raises(ValueError, match="finite"):
+        mm1_profit(Policy(p=6.0, l=math.nan, lam=2.0), BASE)
 
 
 def test_oracle_guards():

@@ -166,6 +166,8 @@ def test_input_validation():
         mm1k_blocking(5.0, 10.0, 0)
     with pytest.raises(ValueError):
         mm1k_ontime_prob(5.0, 10.0, 2, -0.1)
+    with pytest.raises(ValueError, match="lead time"):
+        mm1_ontime_prob(5.0, 10.0, -1.0)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -187,6 +189,9 @@ def test_non_finite_inputs_raise(bad):
         mm1k_ontime_prob(5.0, 10.0, 3, bad)
     with pytest.raises(ValueError, match="finite"):
         mm1k_ontime_prob(5.0, 10.0, 3, np.array([0.3, bad]), log_density=True)
+    for args in ((bad, 10.0, 0.3), (5.0, bad, 0.3), (5.0, 10.0, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            mm1_ontime_prob(*args)
 
 
 def _gammainc_ontime(lam, mu, K, l):

@@ -116,15 +116,17 @@ def test_report_serializes_to_json(report_k3):
 
 
 @pytest.mark.parametrize("policy, horizon", [
-    (POLICY_K3, math.nan),
-    (POLICY_K3, math.inf),
-    (Policy(p=9.0, l=0.3, lam=math.inf), 100.0),
-    (Policy(p=9.0, l=math.nan, lam=5.0), 100.0),
-    (Policy(p=math.nan, l=0.3, lam=5.0), 100.0),
+    ((9.0, 0.3, 5.0), math.nan),
+    ((9.0, 0.3, 5.0), math.inf),
+    ((9.0, 0.3, math.inf), 100.0),
+    ((9.0, math.nan, 5.0), 100.0),
+    ((math.nan, 0.3, 5.0), 100.0),
 ])
 def test_rejects_non_finite_inputs(policy, horizon):
+    # policy holds the raw (p, l, lam): a non-finite field fails where the
+    # Policy is built
     with pytest.raises(ValueError, match="finite"):
-        simulate(policy, PARAMS_K3, horizon=horizon)
+        simulate(Policy(*policy), PARAMS_K3, horizon=horizon)
 
 
 def test_rejects_negative_lead_time():
