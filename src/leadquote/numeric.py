@@ -4,9 +4,10 @@ baselines, and a brute-force oracle for certifying the closed forms.
 Two searches run here.  The finite-buffer solver pins the quote as a
 function of lambda and searches lambda alone with _zoom: a coarse scan,
 then a few wide rounds around the incumbent.  Its cost is the number of
-sequential calls to the on-time kernel, which loops K times in Python per
-call, so few wide rounds beat many narrow ones (and beat golden-section
-or Brent steps, one sequential call each).  The accept-all baseline and
+sequential calls to the on-time kernel, each a few dozen numpy calls
+whose cost hardly grows with the number of points (or with K, since the
+kernel is closed form), so few wide rounds beat many narrow ones (and
+beat golden-section or Brent steps, one sequential call each).  The accept-all baseline and
 the oracle run _search, a dense coarse grid followed by shrinking local
 refinements over lambda and u in [0, 1], which places the quote in a
 per-lambda band [lo, hi] and so keeps the search box rectangular.  The

@@ -10,14 +10,21 @@ An admitted arrival that finds k jobs in system waits an Erlang(k+1, mu)
 sojourn (the residual service is again exponential), and by PASTA k is
 distributed as the stationary queue length conditioned on k < K, which is
 geometric with ratio rho over 0..K-1.  That yields the on-time probability
-P(W <= l) used by the service-level constraint.
+P(W <= l) used by the service-level constraint.  Summing the geometric
+weights first puts its late mass in closed form, two gammaincc terms per
+point, so a call costs the same at any K.  Where those terms overflow
+(rho > 1, mu l large) the first is taken in log space; where they cancel
+(near rho = 1) the late mass is summed term by term as an array, whose
+cost grows with K but which those few rows alone take.  Both switches
+follow from the error bound stated in _late_mass.
 
 All rate/time arguments accept floats or numpy arrays and broadcast like
 ufuncs; K is always a scalar int.  A negative or non-finite rate or lead
-time raises ValueError rather than returning nan.  rho is treated as
-exactly critical when |rho - 1| <= 1e-9, where the formulas switch to
-their continuous limits.  Powers of rho are always taken of
-min(rho, 1/rho) so nothing overflows for large K or rho.
+time raises ValueError rather than returning nan.  The blocking
+probability treats rho as exactly critical when |rho - 1| <= 1e-9, where
+it switches to its limit, and takes powers of min(rho, 1/rho) so nothing
+overflows for large K or rho; the mean number in system needs no switch
+(see mm1k_mean_number).
 """
 
 from __future__ import annotations
@@ -25,14 +32,26 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import gammaincc, gammaln, xlogy
 
-# Width of the rho = 1 branch switch.
+# Width of the blocking probability's rho = 1 branch switch.
 RHO_ONE_TOL = 1e-9
 
-# The on-time product starts on a rescaled value where its true first term
-# is below exp(_LOG_TINY), and then renormalizes every _RENORM_EVERY terms.
-_LOG_TINY = -700.0
-_RENORM_EVERY = 8
+# B_2k / (2k)!, k = 1..8: sigma(v) = 1/2 + sum_k B_2k v^(2k-1) / (2k)!.
+_SIGMA_SERIES = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+                 -691 / 1307674368000, 1 / 74724249600, -3617 / 10670622842880000)
+
+_EPS = np.finfo(float).eps
+
+# The late mass's closed form (see _late_mass): rows whose subtraction has
+# condition number above _KAPPA_MAX are summed term by term instead, and
+# Q(K, rho x) below _TINY or an exponent above _EXP_MAX sends a row's first
+# term to log space.  The term-by-term sum runs on at most _SUM_CELLS
+# (row, term) cells at a time.
+_KAPPA_MAX = 32.0
+_TINY = 1e-300
+_EXP_MAX = 700.0
+_SUM_CELLS = 1 << 16
 
 
 def _check_rates(lam, mu: float, K: int) -> None:
@@ -56,41 +75,50 @@ def _ret(x: np.ndarray, scalar: bool):
     return float(x) if scalar else x
 
 
-def _load(lam, mu: float, K: int):
-    """Shared setup of the kernels: rho, the rho = 1 mask, the rho = 0 mask
-    off that branch, and t = min(rho, 1/rho) <= 1 (0.5 where rho is 0 or 1,
-    whose branches never read it)."""
-    _check_rates(lam, mu, K)
-    rho = np.asarray(lam, dtype=float) / mu
-    near_one = np.abs(rho - 1.0) <= RHO_ONE_TOL
-    idle = (rho == 0.0) & ~near_one
-    t = np.where(near_one | (rho == 0.0), 0.5, rho)
-    t = np.minimum(t, 1.0 / t)
-    return rho, near_one, idle, t
-
-
 def mm1k_blocking(lam, mu: float, K: int):
     """Probability an arrival finds the buffer full and is turned away."""
     scalar = np.isscalar(lam)
-    rho, near_one, idle, t = _load(lam, mu, K)
-    # For rho > 1 the blocking probability equals (1 - q)/(1 - q^(K+1))
-    # with q = 1/rho = t.
+    _check_rates(lam, mu, K)
+    rho = np.asarray(lam, dtype=float) / mu
+    near_one = np.abs(rho - 1.0) <= RHO_ONE_TOL
+    # t = min(rho, 1/rho) <= 1, 0.5 where rho is 0 or 1, whose branches
+    # never read it.  For rho > 1 the blocking probability equals
+    # (1 - q)/(1 - q^(K+1)) with q = 1/rho = t.
+    t = np.where(near_one | (rho == 0.0), 0.5, rho)
+    t = np.minimum(t, 1.0 / t)
     num = np.where(rho > 1.0, 1.0 - t, (1.0 - t) * t**K)
     block = np.where(near_one, 1.0 / (K + 1), num / (1.0 - t ** (K + 1)))
-    return _ret(np.where(idle, 0.0, block), scalar)
+    return _ret(np.where(rho == 0.0, 0.0, block), scalar)
 
 
 def mm1k_mean_number(lam, mu: float, K: int):
-    """Time-average number of jobs in system."""
+    """Time-average number of jobs in system.
+
+    With u = ln rho, L = rho/(1-rho) - (K+1) rho^(K+1)/(1-rho^(K+1)) is
+    (K+1)/(1-e^-(K+1)u) - 1/(1-e^-u).  Both terms grow like 1/|u| near
+    rho = 1, so for |u| < 1/2 each is taken less its 1/u pole, via
+    _sigma, and the poles cancel exactly: L = (K+1) sigma((K+1)u) - sigma(u).
+    This holds for every rho > 0, with no branch at rho = 1.
+    """
     scalar = np.isscalar(lam)
-    rho, near_one, idle, t = _load(lam, mu, K)
-    tk1 = t ** (K + 1)
-    # Second term of L: (K+1) rho^(K+1)/(1-rho^(K+1)); for rho > 1 rewrite
-    # with q = 1/rho as -(K+1)/(1-q^(K+1)).
-    tail = np.where(rho > 1.0, -(K + 1) / (1.0 - tk1), (K + 1) * tk1 / (1.0 - tk1))
-    safe = np.where(near_one | idle, 0.5, rho)
-    ls = np.where(near_one, K / 2.0, safe / (1.0 - safe) - tail)
-    return _ret(np.where(idle, 0.0, ls), scalar)
+    _check_rates(lam, mu, K)
+    n = K + 1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = np.log(np.asarray(lam, dtype=float) / mu)
+        sigma = _sigma(np.multiply.outer((n, 1.0), u))
+        ls = np.where(np.abs(u) < 0.5, n * sigma[0] - sigma[1],
+                      1.0 / np.expm1(-u) - n / np.expm1(-n * u))
+    return _ret(ls, scalar)
+
+
+def _sigma(v):
+    """1/(1-e^-v) - 1/v, from its Bernoulli series where |v| < 1/2 (the
+    truncation error is below 1e-19 there)."""
+    w = v * v
+    series = _SIGMA_SERIES[-1]
+    for coef in _SIGMA_SERIES[-2::-1]:
+        series = series * w + coef
+    return np.where(np.abs(v) < 0.5, 0.5 + v * series, -1.0 / np.expm1(-v) - 1.0 / v)
 
 
 def mm1k_throughput(lam, mu: float, K: int):
@@ -116,62 +144,127 @@ def mm1k_mean_sojourn(lam, mu: float, K: int):
 def mm1k_ontime_prob(lam, mu: float, K: int, l, log_density: bool = False):
     """P(sojourn <= l) for an admitted job in steady state.
 
-    Sum over the k jobs found in system of the Erlang(k+1, mu) cdf at l,
-    weighted by the conditional (admitted-arrival) queue-length law
-    w_k = (1-rho) rho^k / (1-rho^K) for k = 0..K-1, uniform 1/K at rho = 1.
-    With pi_j the Poisson(mu l) pmf, the late mass sum_k w_k P(Poisson <= k)
-    is summed as a_k = rho a_(k-1) + b_k over the weighted terms
-    b_k = w_k pi_k = b_(k-1) rho mu l / k, one running product with no
-    cancellation.  Where the first term w_0 exp(-mu l) would underflow
-    (mu l or (K-1) ln rho beyond ~700) the product runs on a per-point
-    scale that is renormalized every few terms, so the result stays right
-    at any K in O(points) memory.
+    The sojourn is Erlang(k+1, mu) with probability
+    w_k = (1-rho) rho^k / (1-rho^K) over k = 0..K-1 (uniform 1/K at
+    rho = 1), so with x = mu l the late mass is
+    sum_k w_k Q(k+1, x), Q the regularized upper gamma function.  Summing
+    the geometric weights first gives it in closed form, one gammaincc pair
+    per point.  Rows where its terms would overflow are taken in log space,
+    and rows where they cancel (near rho = 1) are summed term by term, so
+    the late mass is right to 32 * 4 eps S relative (see _late_mass).  A
+    call costs a few dozen numpy operations at any K, plus O(K) array work
+    on the cancelling rows alone.
 
     With log_density=True the call returns (P, log g, d log g / dl), where
-    g = mu sum_k b_k is the sojourn density and
-    g' = mu ((rho-1) g - rho mu b_(K-1)), both from the same product.
+    g = mu (1-rho)/(1-rho^K) e^-(1-rho)x Q(K, rho x) is the sojourn density
+    and d log g / dl = mu ((rho-1) - rho pi_(K-1)(rho x) / Q(K, rho x)),
+    pi_j(y) the Poisson(y) pmf at j; neither needs a subtraction.
     """
     scalar = np.isscalar(lam) and np.isscalar(l)
     lam, lead = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(l, dtype=float))
-    rho, near_one, idle, t = _load(lam, mu, K)
+    _check_rates(lam, mu, K)
     _check_lead(lead)
-    # log w_0; for rho > 1 it is log of (1-q) q^(K-1) / (1-q^K), q = 1/rho = t.
-    log_w0 = np.log1p(-t) - np.log1p(-(t**K))
-    log_w0 = np.where(rho > 1.0, log_w0 + (K - 1) * np.log(t), log_w0)
-    log_w0 = np.where(near_one, -math.log(K), np.where(idle, 0.0, log_w0))
-    ratio = np.where(near_one, 1.0, rho)
-
-    x = mu * lead
-    log_b0 = log_w0 - x
-    shift = np.where(log_b0 < _LOG_TINY, -log_b0, 0.0)
-    rescale = bool(shift.any())
-    b = np.exp(log_b0 + shift)     # w_k pi_k, times exp(shift) * 2**-exp2
-    a = b.copy()                   # w_k P(Poisson(mu l) <= k), same scale
-    late = b.copy()
-    dens = b.copy()
-    exp2 = np.zeros(b.shape)
-    y = ratio * x
-    for k in range(1, K):
-        b *= y
-        b /= k
-        a *= ratio
-        a += b
-        late += a
-        if log_density:
-            dens += b
-        if rescale and k % _RENORM_EVERY == 0:
-            late, e = np.frexp(late)
-            a, b, dens = np.ldexp(a, -e), np.ldexp(b, -e), np.ldexp(dens, -e)
-            exp2 += e
-    log_scale = exp2 * math.log(2.0) - shift
-    if rescale:
-        late = late * np.exp(log_scale)
-    ontime = _ret(np.clip(1.0 - late, 0.0, 1.0), scalar)
+    shape = lam.shape
+    late, log_h, slope = _late_mass(lam.ravel() / mu, mu * lead.ravel(), K, log_density)
+    ontime = _ret(np.clip(1.0 - late, 0.0, 1.0).reshape(shape), scalar)
     if not log_density:
         return ontime
-    log_g = math.log(mu) + np.log(dens) + log_scale
-    slope = mu * ((ratio - 1.0) - ratio * b / dens)
-    return ontime, _ret(log_g, scalar), _ret(slope, scalar)
+    log_g = (math.log(mu) + log_h).reshape(shape)
+    return ontime, _ret(log_g, scalar), _ret((mu * slope).reshape(shape), scalar)
+
+
+def _late_mass(rho, x, K: int, log_density: bool = False):
+    """Late mass sum_k w_k Q(k+1, x) at 1-d arrays of rho and x = mu l.
+
+    With s = K ln rho, m = max(s, 0) and the two terms
+    T1 = e^((rho-1)x - m) Q(K, rho x) and T2 = e^(s-m) Q(K, x), both <= 1,
+    the late mass is |T1 - T2| / (1 - e^-|s|) for every rho, and the
+    density over mu is h T1 with h = |1-rho| / (1 - e^-|s|) (1/K at
+    rho = 1).
+
+    Accuracy.  Each term goes through exponents of size at most
+    S = 1 + x + y + |s| + K (ln(1+x) + ln(1+y)) + ln Gamma(K), y = rho x:
+    gammaincc's prefactor e^-y y^(K-1) / Gamma(K), and the exps of
+    (rho-1)x - m and s - m.  An exponent of size S is known to about
+    eps S, so each term is right to 4 eps S relative.  The subtraction
+    multiplies that by kappa = (T1 + T2) / |T1 - T2|, which grows like
+    2 / (K |rho-1|) near rho = 1 and tends to (1+rho) / |1-rho| as x
+    grows.  Rows with kappa > _KAPPA_MAX take _late_sum instead, whose
+    positive terms need no subtraction and are right to 4 eps S as well.
+    So the late mass is right to _KAPPA_MAX * 4 eps S relative on every
+    row where it is a normal number.
+
+    Log space.  For rho > 1 and x large, e^((rho-1)x - m) overflows while
+    Q(K, rho x) underflows.  On those rows, and wherever Q(K, rho x) is
+    below _TINY, T1 is exp((rho-1)x - m + ln Q(K, rho x)) with
+    ln Q = ln pi_(K-1)(rho x) + ln _tail_ratio, so log g stays finite too.
+
+    Returns (late, log(g/mu), d log g / dx); the last two are None unless
+    log_density.
+    """
+    if K == 1 or not rho.any():
+        # An admitted job always finds the server idle: Exp(1) in x units.
+        late = np.exp(-x)
+        return (late, -x, np.full_like(x, -1.0)) if log_density else (late, None, None)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = K * np.log(rho)
+        m = np.maximum(s, 0.0)
+        y = rho * x
+        e = (rho - 1.0) * x - m
+        q_y = gammaincc(K, y)
+        t1 = np.exp(e) * q_y
+        t2 = np.exp(s - m) * gammaincc(K, x)
+        deep = np.flatnonzero(~(q_y >= _TINY) | (e > _EXP_MAX))
+        if deep.size or log_density:
+            log_pi = xlogy(K - 1, y) - y - math.lgamma(K)
+            log_q = np.log(q_y)
+        if deep.size:
+            log_q[deep] = log_pi[deep] + np.log(_tail_ratio(K, y[deep]))
+            t1[deep] = np.exp(e[deep] + log_q[deep])
+        diff = np.abs(t1 - t2)
+        den = -np.expm1(-np.abs(s))
+        late = diff / den
+        cancels = np.flatnonzero(~(t1 + t2 <= _KAPPA_MAX * diff))
+        if cancels.size:
+            late[cancels] = _late_sum(rho[cancels], x[cancels], K)
+        if not log_density:
+            return late, None, None
+        h = np.where(s == 0.0, 1.0 / K, np.abs(1.0 - rho) / den)
+        slope = (rho - 1.0) - rho * np.exp(log_pi - log_q)
+        return late, np.log(h) + e + log_q, slope
+
+
+def _tail_ratio(K: int, y):
+    """Q(K, y) / pi_(K-1)(y) = sum_(i<K) prod_(j<=i) (K-j)/y for y > K-1.
+    The terms fall at least as fast as powers of q = (K-1)/y, so the sum
+    stops at the first n with q^n < eps (1-q) / 2, which leaves out less
+    than eps/2."""
+    q = (K - 1) / y.min()
+    n = K if q >= 1.0 else min(K, math.ceil(math.log(_EPS * (1.0 - q) / 2.0) / math.log(q)))
+    terms = np.cumprod((K - np.arange(1, n)) / y[:, None], axis=1)
+    return 1.0 + terms.sum(axis=1)
+
+
+def _late_sum(rho, x, K: int):
+    """Late mass summed over the queue length j found on arrival,
+    sum_(j<K) pi_j(x) rho^j (1 - rho^(K-j)) / (1 - rho^K), (K-j)/K at
+    rho = 1.  Every term is positive, so nothing cancels at any rho.  Each
+    term is taken from its own logarithm, j ln(rho x) - x - ln j!, so its
+    error does not build up over j; the work is O(K) array cells per row,
+    with no Python loop over j."""
+    late = np.empty_like(x)
+    step = max(1, _SUM_CELLS // K)
+    j = np.arange(K)
+    log_fact = gammaln(j + 1.0)
+    for lo in range(0, x.size, step):
+        r, xs = rho[lo:lo + step, None], x[lo:lo + step, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_b = xlogy(j, r * xs) - xs - log_fact
+            u = np.log(r)
+            weight = np.where(u == 0.0, (K - j) / K, np.expm1((K - j) * u) / np.expm1(K * u))
+        top = log_b.max(axis=1)
+        late[lo:lo + step] = np.exp(top) * np.sum(np.exp(log_b - top[:, None]) * weight, axis=1)
+    return late
 
 
 def mm1_ontime_prob(lam, mu: float, l):

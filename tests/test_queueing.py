@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from leadquote import (
     mm1_ontime_prob,
@@ -17,6 +19,7 @@ from leadquote import (
     mm1k_mean_sojourn,
     mm1k_ontime_prob,
     mm1k_throughput,
+    queueing,
 )
 
 # (lam, mu, K) -> (block, mean number, throughput), from the linear solve
@@ -143,7 +146,7 @@ def test_broadcasting_column_against_row():
 
 
 def test_large_buffer_stays_finite():
-    # running-product Erlang terms must not overflow at K = 500
+    # no Erlang term may overflow at K = 500
     for lam in (1.0, 10.0, 40.0):
         b = mm1k_blocking(lam, 10.0, 500)
         v = mm1k_ontime_prob(lam, 10.0, 500, 2.0)
@@ -223,12 +226,25 @@ def test_ontime_large_buffer_probes():
     assert got[1] == pytest.approx(0.9870732381109656, abs=1e-12)
 
 
-@pytest.mark.parametrize("K", [1, 4, 30])
-@pytest.mark.parametrize("lam", [0.0, 4.0, 10.0, 23.0])
+def test_cancelling_rows_sum_in_chunks():
+    # at rho = 1 every row is summed term by term, a bounded number of
+    # rows at a time; a long call must match one call per row
+    leads = np.linspace(1.0, 300.0, 70)
+    got = mm1k_ontime_prob(10.0, 10.0, 2000, leads)
+    want = [mm1k_ontime_prob(10.0, 10.0, 2000, float(l)) for l in leads]
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("K", [1, 4, 30, 200, 2000])
+@pytest.mark.parametrize("lam", [0.0, 4.0, 10.0, 23.0, 45.0, 70.0])
 def test_log_density_matches_differences(K, lam):
-    leads = np.array([0.05, 0.4, 1.7, 3.5])
+    # The long leads put rho > 1 rows where e^((rho-1) mu l) overflows
+    # while Q(K, rho mu l) underflows: mu l in [180, 378] at K = 200, ten
+    # times that at K = 2000.
+    leads = np.concatenate([[0.05, 0.4, 1.7, 3.5], np.array([18.0, 27.0, 37.8]) * max(1, K // 200)])
     ontime, log_g, slope = mm1k_ontime_prob(lam, 10.0, K, leads, log_density=True)
     assert np.array_equal(ontime, mm1k_ontime_prob(lam, 10.0, K, leads))
+    assert np.isfinite(ontime).all() and np.isfinite(log_g).all() and np.isfinite(slope).all()
     h = 1e-6
     up = mm1k_ontime_prob(lam, 10.0, K, leads + h, log_density=True)
     down = mm1k_ontime_prob(lam, 10.0, K, leads - h, log_density=True)
@@ -242,3 +258,78 @@ def test_log_density_closed_form_at_single_slot():
     _, log_g, slope = mm1k_ontime_prob(3.0, 10.0, 1, 0.7, log_density=True)
     assert log_g == pytest.approx(math.log(10.0) - 7.0, rel=1e-14)
     assert slope == pytest.approx(-10.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("K", [1, 5, 200])
+@pytest.mark.parametrize("gap", [-1e-3, -1e-6, -1e-7, -1e-8, -2e-9, 2e-9, 1e-8, 1e-7, 1e-6, 1e-3])
+def test_mean_number_near_critical_load_matches_mpmath(K, gap):
+    # rho/(1-rho) - (K+1) rho^(K+1)/(1-rho^(K+1)) subtracts two terms of
+    # size 1/|rho-1|, which leaves no correct digit within ~1e-8 of rho = 1
+    import mpmath
+
+    lam = 10.0 * (1.0 + gap)
+    with mpmath.workdps(50):
+        rho = mpmath.mpf(lam) / 10
+        want = sum(k * rho**k for k in range(K + 1)) / sum(rho**k for k in range(K + 1))
+        assert abs(mm1k_mean_number(lam, 10.0, K) - want) <= 1e-12 * want
+
+
+def _mpmath_late(rho, K, x):
+    """Late mass sum_(j<K) pi_j(x) (rho^j - rho^K)/(1 - rho^K) at 60 digits,
+    with pi_j the Poisson(x) pmf; (K-j)/K in place of the ratio at rho = 1."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        rho, x = mpmath.mpf(rho), mpmath.mpf(x)
+        pi, rho_j, rho_K, total = mpmath.exp(-x), mpmath.mpf(1), rho**K, mpmath.mpf(0)
+        for j in range(K):
+            if j:
+                pi, rho_j = pi * x / j, rho_j * rho
+            total += pi * ((rho_j - rho_K) if rho != 1 else K - j)
+        return total / ((1 - rho_K) if rho != 1 else K)
+
+
+# (rho, K, x) of the benchmark's large-K on-time probes (lambda = 20,
+# mu = 10), and of K = 5000 next to rho = 1 and in log space.
+_LATE_EXAMPLES = {"probe-K1000": (2.0, 1000, 1000.0), "probe-K2000": (2.0, 2000, 2100.0),
+                  "K5000-near-one": (1.0 + 1e-9, 5000, 5000.0), "K5000-deep": (3.0, 5000, 5500.0)}
+
+
+def _late_case(region, rng):
+    """(rho, K, x): rho within 1e-9..1e-3 of 1, the K = 200 region where the
+    unscaled closed form overflows, a wide box, or lambda = 0; K up to 5000."""
+    if region in _LATE_EXAMPLES:
+        return _LATE_EXAMPLES[region]
+    if region == "overflow":
+        return rng.uniform(1.0, 7.0), 200, rng.uniform(180.0, 378.0)
+    K = int(np.exp(rng.uniform(0.0, np.log(5000.0))))
+    x = np.exp(rng.uniform(np.log(1e-3), np.log(3.0 * K + 50.0)))
+    if region == "near-one":
+        return 1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, -3.0), K, x
+    if region == "idle":
+        return 0.0, K, x
+    return np.exp(rng.uniform(np.log(0.01), np.log(10.0))), K, x
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),  # near-one and wide are drawn twice as often
+       region=st.sampled_from(["near-one", "near-one", "overflow", "wide", "wide", "idle"]))
+@example(seed=0, region="probe-K1000")
+@example(seed=0, region="probe-K2000")
+@example(seed=0, region="K5000-near-one")
+@example(seed=0, region="K5000-deep")
+def test_late_mass_matches_mpmath(seed, region):
+    """The bound stated in _late_mass, _KAPPA_MAX * 4 eps S relative with
+    _KAPPA_MAX = 32 and S = 1 + x + y + |s| + K (ln(1+x) + ln(1+y)) + ln Gamma(K),
+    wherever the late mass is a normal number."""
+    rho, K, x = _late_case(region, np.random.default_rng(seed))
+    y = rho * x
+    s = K * math.log(rho) if rho > 0 else 0.0
+    size = 1 + x + y + abs(s) + K * (math.log1p(x) + math.log1p(y)) + math.lgamma(K)
+    tol = 32 * 4 * np.finfo(float).eps * size
+    got = queueing._late_mass(np.array([rho]), np.array([x]), K)[0][0]
+    want = _mpmath_late(rho, K, x)
+    if want > 1e-300:
+        assert abs(got - want) <= tol * want
+    else:
+        assert 0.0 <= got <= 1e-300
