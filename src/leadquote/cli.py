@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -53,25 +52,6 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Validated, fully-resolved description of one CLI run."""
-
-    command: str
-    params: MarketParams
-    model: str = "mm11"
-    costs_on: bool = True
-    a_values: list = field(default_factory=lambda: list(SWEEP_A_DEFAULT))
-    b2_values: list = field(default_factory=lambda: list(SWEEP_B2_DEFAULT))
-    out: str | None = None
-    timestamp: bool = True
-    horizon: float = 2000.0
-    seed: int = 0
-    policy: Policy | None = None
-    instances: int = 100
-    resolution: int = 160
-
-
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=str, default=None,
                      help="JSON file with market parameters (flags override it)")
@@ -99,6 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "benchmark; mm1k: general finite buffer (numeric)")
     p_solve.add_argument("--costs", choices=("on", "off"), default="on",
                          help="include holding and lateness costs (default on)")
+    p_solve.set_defaults(run=_run_solve)
 
     p_sweep = subs.add_parser("sweep", help="gain table over an (a, b2) grid")
     _add_param_flags(p_sweep)
@@ -110,6 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="accepted for compatibility; must be >= 1, and cells "
                               "always run in this process")
+    p_sweep.set_defaults(run=_run_sweep)
 
     p_sim = subs.add_parser("simulate", help="simulate the finite-buffer queue")
     _add_param_flags(p_sim)
@@ -120,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulate this fixed policy, as 'price,leadtime,lambda'")
     p_sim.add_argument("--horizon", type=float, default=2000.0)
     p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.set_defaults(run=_run_simulate)
 
     p_val = subs.add_parser("validate", help="run the certification battery")
     p_val.add_argument("--instances", type=int, default=100,
@@ -129,19 +112,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--seed", type=int, default=11)
     p_val.add_argument("--out", type=str, default=None)
     p_val.add_argument("--no-timestamp", action="store_true")
+    p_val.set_defaults(run=_run_validate)
     return parser
 
 
 def _resolve_params(args: argparse.Namespace) -> MarketParams:
     merged = dict(DEFAULTS)
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            loaded = json.loads(path.read_text())
+            loaded = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         unknown = set(loaded) - set(PARAM_FIELDS)
@@ -149,7 +135,7 @@ def _resolve_params(args: argparse.Namespace) -> MarketParams:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged.update(loaded)
     for name in PARAM_FIELDS:
-        value = getattr(args, name, None)
+        value = getattr(args, name)
         if value is not None:
             merged[name] = value
     try:
@@ -182,181 +168,121 @@ def _parse_policy(text: str) -> Policy:
     return policy
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    command = args.command
-    if command == "validate":
-        if args.instances < 1:
-            raise ConfigError("--instances must be >= 1")
-        if args.resolution < 100:
-            raise ConfigError("--resolution must be >= 100")
-        return RunConfig(
-            command=command,
-            params=MarketParams.from_dict(DEFAULTS),
-            instances=args.instances,
-            resolution=args.resolution,
-            seed=args.seed,
-            out=args.out,
-            timestamp=not args.no_timestamp,
-        )
-    params = _resolve_params(args)
-    cfg = RunConfig(
-        command=command,
-        params=params,
-        out=args.out,
-        timestamp=not args.no_timestamp,
-    )
-    if hasattr(args, "costs"):
-        cfg.costs_on = args.costs == "on"
-    if hasattr(args, "model"):
-        cfg.model = args.model
-        if cfg.model == "mm11" and params.K != 1:
-            raise ConfigError("model mm11 is the single-slot system; needs K = 1")
-    if command == "sweep":
-        if args.a_values is not None:
-            cfg.a_values = _parse_values(args.a_values, "a")
-        if args.b2_values is not None:
-            cfg.b2_values = _parse_values(args.b2_values, "b2")
-        if args.jobs < 1:
-            raise ConfigError("--jobs must be >= 1")
-    if command == "simulate":
-        if not (math.isfinite(args.horizon) and args.horizon > 0):
-            raise ConfigError("--horizon must be positive and finite")
-        cfg.horizon = args.horizon
-        cfg.seed = args.seed
-        if args.policy is not None:
-            cfg.policy = _parse_policy(args.policy)
-    return cfg
+def _require_model_fits(model: str, params: MarketParams) -> None:
+    if model == "mm11" and params.K != 1:
+        raise ConfigError("model mm11 is the single-slot system; needs K = 1")
 
 
-def _stamp(doc: dict, config: RunConfig) -> dict:
-    if config.timestamp:
+def _solve(args: argparse.Namespace, params: MarketParams) -> Solution:
+    """The optimum of the model --model names; costs off means F = c = 0."""
+    costs_on = args.costs == "on"
+    if args.model == "mm1":
+        return solve_mm1_baseline(params, costs_on=costs_on)
+    if not costs_on:
+        params = params.with_updates(F=0.0, c=0.0)
+    return (solve_mm11_with_costs if args.model == "mm11" else solve_mm1k_numeric)(params)
+
+
+def _dump(doc: dict, args: argparse.Namespace) -> str:
+    """doc as indented JSON, stamped with the time unless --no-timestamp."""
+    if not args.no_timestamp:
         doc["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return doc
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _write_out(path: Path, text: str) -> None:
+def _write(path: str | Path | None, text: str) -> None:
+    """Write text to path, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    path = Path(path)
     try:
         path.write_text(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(doc: dict, config: RunConfig) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if config.out:
-        _write_out(Path(config.out), text)
-    else:
-        sys.stdout.write(text)
-
-
-def _costed(params: MarketParams, costs_on: bool) -> MarketParams:
-    # Costs off means F = c = 0.
-    return params if costs_on else params.with_updates(F=0.0, c=0.0)
-
-
-def _solve_dispatch(model: str, params: MarketParams, costs_on: bool) -> Solution:
-    if model == "mm1":
-        return solve_mm1_baseline(params, costs_on=costs_on)
-    solve = solve_mm11_with_costs if model == "mm11" else solve_mm1k_numeric
-    return solve(_costed(params, costs_on))
-
-
-def _run_solve(config: RunConfig) -> int:
-    solution = _solve_dispatch(config.model, config.params, config.costs_on)
-    doc = _stamp(
-        {
-            "command": "solve",
-            "model": config.model,
-            "costs_on": config.costs_on,
-            "params": config.params.to_dict(),
-            "solution": solution.to_dict(),
-        },
-        config,
-    )
-    _emit(doc, config)
+def _run_solve(args: argparse.Namespace) -> int:
+    params = _resolve_params(args)
+    _require_model_fits(args.model, params)
+    solution = _solve(args, params)
+    _write(args.out, _dump({
+        "command": "solve",
+        "model": args.model,
+        "costs_on": args.costs == "on",
+        "params": params.to_dict(),
+        "solution": solution.to_dict(),
+    }, args))
     return EXIT_OK if solution.feasible else EXIT_INFEASIBLE
 
 
-def _run_sweep(config: RunConfig) -> int:
-    table = sweep(config.params, config.a_values, config.b2_values,
-                  costs_on=config.costs_on)
-    doc = _stamp({"command": "sweep", "table": table.to_dict()}, config)
-    if config.out:
-        base = Path(config.out)
-        csv_path = base.with_suffix(".csv")
-        json_path = base.with_suffix(".json")
-        _write_out(csv_path, table.to_csv())
-        _write_out(json_path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    else:
+def _run_sweep(args: argparse.Namespace) -> int:
+    params = _resolve_params(args)
+    a_values = (SWEEP_A_DEFAULT if args.a_values is None
+                else _parse_values(args.a_values, "a"))
+    b2_values = (SWEEP_B2_DEFAULT if args.b2_values is None
+                 else _parse_values(args.b2_values, "b2"))
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be >= 1")
+    table = sweep(params, a_values, b2_values, costs_on=args.costs == "on")
+    if not args.out:
         sys.stdout.write(table.to_csv())
+        return EXIT_OK
+    base = Path(args.out)
+    _write(base.with_suffix(".csv"), table.to_csv())
+    _write(base.with_suffix(".json"),
+           _dump({"command": "sweep", "table": table.to_dict()}, args))
     return EXIT_OK
 
 
-def _run_simulate(config: RunConfig) -> int:
-    params = _costed(config.params, config.costs_on)
-    if config.model == "mm11":
-        params = params.with_updates(K=1)
-    solved = None
-    policy = config.policy
+def _run_simulate(args: argparse.Namespace) -> int:
+    params = _resolve_params(args)
+    if args.policy is None:
+        # --model only picks the solver, so a fixed policy runs at any K
+        _require_model_fits(args.model, params)
+    if not (math.isfinite(args.horizon) and args.horizon > 0):
+        raise ConfigError("--horizon must be positive and finite")
+    policy = None if args.policy is None else _parse_policy(args.policy)
+    if args.costs == "off":
+        params = params.with_updates(F=0.0, c=0.0)
+    doc = {"command": "simulate"}
     if policy is None:
-        solved = _solve_dispatch(config.model, params, config.costs_on)
+        solved = _solve(args, params)
+        doc["solution"] = solved.to_dict()
         if not solved.feasible or solved.policy.lam <= 0:
-            _emit(_stamp({"command": "simulate",
-                          "error": "instance infeasible; nothing to simulate",
-                          "solution": solved.to_dict()}, config), config)
+            doc["error"] = "instance infeasible; nothing to simulate"
+            _write(args.out, _dump(doc, args))
             return EXIT_INFEASIBLE
         policy = solved.policy
-    report = simulate(policy, params, horizon=config.horizon, seed=config.seed)
+    report = simulate(policy, params, horizon=args.horizon, seed=args.seed)
     verdict = validate(report, params, policy)
-    doc = {
-        "command": "simulate",
-        "params": params.to_dict(),
-        "policy": policy.to_dict(),
-        "report": report.to_dict(),
-        "verdict": verdict.to_dict(),
-    }
-    if solved is not None:
-        doc["solution"] = solved.to_dict()
-    _emit(_stamp(doc, config), config)
+    doc.update(params=params.to_dict(), policy=policy.to_dict(),
+               report=report.to_dict(), verdict=verdict.to_dict())
+    _write(args.out, _dump(doc, args))
     return EXIT_OK if verdict.ok else EXIT_VALIDATION
 
 
-def _run_validate(config: RunConfig) -> int:
-    results = run_all_checks(n_instances=config.instances,
-                             resolution=config.resolution, seed=config.seed)
+def _run_validate(args: argparse.Namespace) -> int:
+    if args.instances < 1:
+        raise ConfigError("--instances must be >= 1")
+    if args.resolution < 100:
+        raise ConfigError("--resolution must be >= 100")
+    results = run_all_checks(n_instances=args.instances,
+                             resolution=args.resolution, seed=args.seed)
     for res in results:
         sys.stdout.write(f"{'PASS' if res.ok else 'FAIL'} {res.name}: {res.detail}\n")
-    if config.out:
-        doc = _stamp({"command": "validate",
-                      "checks": [r.to_dict() for r in results],
-                      "ok": all(r.ok for r in results)}, config)
-        _write_out(Path(config.out),
-                   json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK if all(r.ok for r in results) else EXIT_VALIDATION
-
-
-def run(config: RunConfig) -> int:
-    if config.command == "solve":
-        return _run_solve(config)
-    if config.command == "sweep":
-        return _run_sweep(config)
-    if config.command == "simulate":
-        return _run_simulate(config)
-    if config.command == "validate":
-        return _run_validate(config)
-    raise ConfigError(f"unknown command {config.command!r}")
+    ok = all(r.ok for r in results)
+    if args.out:
+        _write(args.out, _dump({"command": "validate",
+                                "checks": [r.to_dict() for r in results],
+                                "ok": ok}, args))
+    return EXIT_OK if ok else EXIT_VALIDATION
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-    except ConfigError as exc:
-        sys.stderr.write(json.dumps({"error": str(exc), "exit_code": EXIT_CONFIG}) + "\n")
-        return EXIT_CONFIG
-    try:
-        return run(config)
+        return args.run(args)
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "exit_code": EXIT_CONFIG}) + "\n")
         return EXIT_CONFIG

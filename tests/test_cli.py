@@ -5,15 +5,23 @@ codes directly; capsys/ tmp_path take care of the streams and files.
 """
 
 import json
+import sys
 
 import pytest
 
-from leadquote import PropertyResult
+from leadquote import (
+    MarketParams,
+    PropertyResult,
+    solve_mm11_with_costs,
+    solve_mm1_baseline,
+    solve_mm1k_numeric,
+)
 from leadquote.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_VALIDATION,
+    entrypoint,
     main,
 )
 
@@ -261,3 +269,59 @@ def test_validate_passes_at_seed_9(capsys):
 def test_validate_guards(capsys):
     assert main(["validate", "--instances", "0"]) == EXIT_CONFIG
     assert main(["validate", "--resolution", "50"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("costs", ["on", "off"])
+@pytest.mark.parametrize("model", ["mm11", "mm1", "mm1k"])
+def test_solve_runs_the_library_solver_of_each_model(capsys, model, costs):
+    K = 3 if model == "mm1k" else 1
+    code, doc = run_json(capsys, ["solve", "--model", model, "--costs", costs,
+                                  "--F", "1.5", "--c", "8", "--K", str(K),
+                                  "--no-timestamp"])
+    params = MarketParams(a=30.0, b1=4.0, b2=20.0, mu=10.0, m=5.0, s=0.95,
+                          F=1.5, c=8.0, K=K)
+    costs_on = costs == "on"
+    if model == "mm1":
+        expected = solve_mm1_baseline(params, costs_on=costs_on)
+    else:
+        solve = solve_mm11_with_costs if model == "mm11" else solve_mm1k_numeric
+        expected = solve(params if costs_on else params.with_updates(F=0.0, c=0.0))
+    assert code == (EXIT_OK if expected.feasible else EXIT_INFEASIBLE)
+    assert doc["model"] == model and doc["costs_on"] is costs_on
+    assert doc["solution"] == json.loads(json.dumps(expected.to_dict()))
+    assert doc["params"]["F"] == 1.5 and doc["params"]["c"] == 8.0
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["solve", "--no-timestamp"], EXIT_OK),
+    (["solve", "--config", "no_such_config.json"], EXIT_CONFIG),
+], ids=["success", "config-error"])
+def test_entrypoint_exits_with_the_code_of_main(monkeypatch, capsys, argv, code):
+    monkeypatch.setattr(sys, "argv", ["leadquote", *argv])
+    with pytest.raises(SystemExit) as exc:
+        entrypoint()
+    assert exc.value.code == code
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_config_exits_config(tmp_path, capsys, kind):
+    path = tmp_path / "params.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"a": 30.0, "note": "caf\xe9"}')
+    assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == EXIT_CONFIG and str(path) in err["error"]
+
+
+def test_simulate_fixed_policy_ignores_model(tmp_path, capsys):
+    argv = ["simulate", "--K", "3", "--policy", "9.0,0.3,5.0", "--horizon", "1500",
+            "--seed", "3", "--no-timestamp", "--out"]
+    assert main([*argv, str(tmp_path / "default.json")]) == EXIT_OK
+    assert main([*argv, str(tmp_path / "mm1k.json"), "--model", "mm1k"]) == EXIT_OK
+    default = (tmp_path / "default.json").read_bytes()
+    assert default == (tmp_path / "mm1k.json").read_bytes()
+    assert json.loads(default)["params"]["K"] == 3
+    # without --policy the model picks the solver, and mm11 still needs K = 1
+    assert main(["simulate", "--K", "3"]) == EXIT_CONFIG
