@@ -88,16 +88,21 @@ class GainTable:
 def sweep(base: MarketParams, a_values, b2_values, costs_on: bool, jobs: int = 1) -> GainTable:
     """Solve both systems on the (a, b2) grid and tabulate relative gains.
 
-    Cells always run one after another in this process; jobs is accepted
-    for callers that pass it and changes nothing.
+    The rejection side is the single-slot system, so base must have K = 1;
+    any other capacity raises ValueError rather than tabulating a system
+    other than the one base names.  Cells always run one after another in
+    this process; jobs is accepted for callers that pass it and changes
+    nothing.
     """
+    if base.K != 1:
+        raise ValueError(f"sweep compares the single-slot system; needs K = 1, got K = {base.K}")
     a_sorted = sorted(float(a) for a in a_values)
     b2_sorted = sorted((float(b) for b in b2_values), reverse=True)
     gains, rej_rows, acc_rows = [], [], []
     for b2 in b2_sorted:
         g_row, r_row, a_row = [], [], []
         for a in a_sorted:
-            params = base.with_updates(a=a, b2=b2, K=1)
+            params = base.with_updates(a=a, b2=b2)
             rej = solve_mm11_with_costs(params) if costs_on else solve_mm11_no_costs(params)
             acc = solve_mm1_baseline(params, costs_on=costs_on)
             if rej.feasible and acc.feasible and acc.profit > 0:

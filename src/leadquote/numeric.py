@@ -22,10 +22,15 @@ finite-buffer system the slope in l is c L_s g(l) - lambda_eff b2/b1,
 with g the log-concave sojourn density, so it is positive on one
 interval at most and the best quote is lo or that interval's right end
 (clipped to hi), found by Newton steps on log g.  lo, the service-level
-minimum, is a bracketed Newton search on the on-time probability.  Only
-the brute-force oracle searches the full band (_oracle_band), up to the
-zero-price bound (or a penalty-elimination cap when demand ignores lead
-time).
+minimum, is a bracketed Newton search on the on-time probability, which
+closes its bracket with one call of two points per row once Newton's own
+error estimate allows it, and hands its kernel values at lo on to the
+profit at lo and the first Newton step toward r (_pinned), so neither
+costs a call.  Above a - b1 m - b2 z/mu (_zero_margin_rate) no quote
+that meets the service level earns a margin, so the lambda search stops
+there.  Only the brute-force oracle searches the full band
+(_oracle_band), up to the zero-price bound (or a penalty-elimination cap
+when demand ignores lead time).
 
 Tie-breaking is deterministic: smallest lambda, then smallest quote, and
 the incumbent is only replaced on strict improvement, so results do not
@@ -214,7 +219,8 @@ def _zoom(evaluate, lam_hi):
     }
 
 
-def min_leadtime_for_service(lam, params: MarketParams, tol: float = QUOTE_TOL):
+def min_leadtime_for_service(lam, params: MarketParams, tol: float = QUOTE_TOL,
+                             log_density: bool = False):
     """Smallest quote meeting the service level at arrival rate lam.
 
     Safeguarded Newton iteration on P(W <= l) = s, vectorized over lam.
@@ -222,20 +228,38 @@ def min_leadtime_for_service(lam, params: MarketParams, tol: float = QUOTE_TOL):
     from [0, erlang_quantile_bracket].  Steps are taken on log P(W > l),
     which is concave because the sojourn density is log-concave: the first
     step from l = 0 lands on the feasible side, and later ones approach the
-    root from there.  A step that leaves the bracket becomes a bisection;
-    a step shorter than tol/2 is pushed tol/2 past the root estimate so the
-    next evaluation closes the bracket.  Stops when the bracket is at most
-    tol wide and returns its feasible end.  Returns 0 when s = 0.
+    root from there.  A step that leaves the bracket becomes a bisection.
+    By that concavity a Newton iterate never lands left of the root, and
+    its distance past it is about |(slope + g/late)/2| d^2 for a step d,
+    with slope = d log g / dl.  Where that is at most tol/4 and the
+    iterate lies in the bracket, the next call takes a point tol/20 right
+    of it (clear of rounding in P, and at most hi) together with one
+    0.9 tol left of that, and the two close the bracket at once.  Stops
+    when the bracket is at most tol wide and returns its feasible end.
+    Returns 0 when s = 0.
+
+    With log_density=True the call returns (quote, P, log g, slope), the
+    kernel's values at the quote (mm1k_ontime_prob with log_density), so
+    a caller that needs them there makes no call of its own.
     """
     mu, K, s = params.mu, params.K, params.s
     scalar = np.isscalar(lam)
     arr = np.atleast_1d(np.asarray(lam, dtype=float))
+
+    def result(quote, *at_quote):
+        out = (quote, *at_quote)
+        if scalar:
+            out = tuple(float(v[0]) for v in out)
+        return out if log_density else out[0]
+
     if s <= 0.0:
-        out = np.zeros_like(arr)
-        return float(out[0]) if scalar else out
+        quote = np.zeros_like(arr)
+        at_zero = mm1k_ontime_prob(arr, mu, K, quote, log_density=True) if log_density else ()
+        return result(quote, *at_zero)
     log_late = math.log1p(-s)
     lo = np.zeros_like(arr)
     hi = np.full_like(arr, erlang_quantile_bracket(mu, K, s))
+    at_hi = np.full((3, arr.size), np.nan)
     # First Newton step from l = 0, where P = 0 and the density is mu * w_0
     # with w_0 = P(idle)/(1 - P_block), the chance an admitted job finds the
     # server idle: exact at K = 1, the M/M/1 quote z/(mu - lam) for rho < 1
@@ -245,45 +269,84 @@ def min_leadtime_for_service(lam, params: MarketParams, tol: float = QUOTE_TOL):
     with np.errstate(divide="ignore"):
         x = np.minimum(-log_late * (1.0 - block) / (mu * idle), hi)
     x = np.where(idle > 0.0, x, hi)
+    paired = np.zeros(arr.shape, dtype=bool)
+    width, nudge = 0.9 * tol, 0.05 * tol
     live = np.arange(arr.size)
     for _ in range(_MAX_NEWTON_STEPS):
         if not live.size:
             break
         xs, los, his = x[live], lo[live], hi[live]
-        ontime, log_g, _ = mm1k_ontime_prob(arr[live], mu, K, xs, log_density=True)
-        ok = ontime >= s
-        his = np.where(ok, xs, his)
-        los = np.where(ok, los, xs)
-        late = 1.0 - ontime
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = (np.log(late) - log_late) * np.exp(np.log(late) - log_g)
-        step = np.where(np.abs(step) < 0.5 * tol, step + np.where(ok, -0.5, 0.5) * tol, step)
-        nxt = xs + step
-        nxt = np.where((nxt > los) & (nxt < his), nxt, 0.5 * (los + his))
-        lo[live], hi[live], x[live] = los, his, nxt
+        # A paired row's points are x - width, in the row's own slot, and x,
+        # appended after all rows unless it is hi, whose values are known.
+        low = paired[live]
+        two = np.flatnonzero(low & (xs < his))
+        rows, pts = live, np.where(low, xs - width, xs)
+        if two.size:
+            rows, pts = np.concatenate([live, live[two]]), np.concatenate([pts, xs[two]])
+        vals = np.array(mm1k_ontime_prob(arr[rows], mu, K, pts, log_density=True))
+        ok = vals[0] >= s
+        if two.size:
+            # A paired row steps on from its point nearest the root: the
+            # lower if feasible, else the upper, which if feasible closes
+            # the bracket on the lower.
+            low_fails = two[~ok[two]]
+            straddle = low_fails[ok[live.size:][~ok[two]]]
+            cur = np.arange(live.size)
+            cur[low_fails] = live.size + np.flatnonzero(~ok[two])
+            pts, vals, ok = pts[cur], vals[:, cur], ok[cur]
+            los[straddle] = xs[straddle] - width
+        his = np.where(ok, pts, his)
+        los = np.where(ok, los, pts)
+        at_hi[:, live[ok]] = vals[:, ok]
+        ontime, log_g, slope = vals
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            log_late_now = np.log(1.0 - ontime)
+            late_g = np.exp(log_late_now - log_g)
+            step = (log_late_now - log_late) * late_g
+            close = np.abs(slope + 1.0 / late_g) * step * step <= 0.5 * tol
+        nxt = pts + step
+        pair = close & (nxt >= los) & (nxt <= his)
+        inside = (nxt > los) & (nxt < his)
+        nxt = np.where(pair, np.minimum(nxt + nudge, his),
+                       np.where(inside, nxt, 0.5 * (los + his)))
+        lo[live], hi[live], x[live], paired[live] = los, his, nxt, pair
         live = live[his - los > tol]
-    return float(hi[0]) if scalar else hi
+    if log_density:
+        # A row whose bracket closed on the starting bound never evaluated hi.
+        todo = np.flatnonzero(np.isnan(at_hi[0]))
+        if todo.size:
+            at_hi[:, todo] = mm1k_ontime_prob(arr[todo], mu, K, hi[todo], log_density=True)
+    return result(hi, *at_hi)
 
 
-def _mm1k_rate(lam, p, ontime, params: MarketParams):
-    """The profit rate of mm1k_profit, vectorized, given the on-time
-    probability at the quote, so a caller that needs it too computes it
+def _mm1k_load(lam, params: MarketParams):
+    """The admitted rate lambda_eff and the mean number in system L_s at
+    each arrival rate: the factors of the profit that do not depend on the
+    quote, so a caller that evaluates many quotes per rate computes them
     once."""
     mu, K = params.mu, params.K
-    block = mm1k_blocking(lam, mu, K)
-    ls = mm1k_mean_number(lam, mu, K)
-    leff = lam * (1.0 - block)
+    return lam * (1.0 - mm1k_blocking(lam, mu, K)), mm1k_mean_number(lam, mu, K)
+
+
+def _mm1k_rate(leff, ls, p, ontime, params: MarketParams):
+    """The profit rate of mm1k_profit, vectorized, given _mm1k_load and the
+    on-time probability at the quote."""
     return leff * (p - params.m) - params.F * ls - params.c * ls * (1.0 - ontime)
 
 
-def _mm1k_objective(params: MarketParams):
-    a, b1, b2, mu, K, s = params.a, params.b1, params.b2, params.mu, params.K, params.s
+def _mm1k_value(lam, L, ontime, leff, ls, params: MarketParams):
+    """The finite-buffer objective at quotes L given the on-time
+    probability there and _mm1k_load: the profit rate, -inf where the
+    price or the service level fails."""
+    p = (params.a - params.b2 * L - lam) / params.b1
+    ok = (p >= -PRICE_SLACK) & (ontime >= params.s - SERVICE_SLACK)
+    return np.where(ok, _mm1k_rate(leff, ls, p, ontime, params), -np.inf)
 
+
+def _mm1k_objective(params: MarketParams):
     def objective(lam, L):
-        p = (a - b2 * L - lam) / b1
-        ontime = mm1k_ontime_prob(lam, mu, K, L)
-        ok = (p >= -PRICE_SLACK) & (ontime >= s - SERVICE_SLACK)
-        return np.where(ok, _mm1k_rate(lam, p, ontime, params), -np.inf)
+        ontime = mm1k_ontime_prob(lam, params.mu, params.K, L)
+        return _mm1k_value(lam, L, ontime, *_mm1k_load(lam, params), params)
 
     return objective
 
@@ -298,7 +361,7 @@ def mm1k_profit(policy: Policy, params: MarketParams) -> float:
     """
     lam = policy.lam
     ontime = mm1k_ontime_prob(lam, params.mu, params.K, policy.l)
-    return float(_mm1k_rate(lam, policy.p, ontime, params))
+    return float(_mm1k_rate(*_mm1k_load(lam, params), policy.p, ontime, params))
 
 
 def _leadtime_cap(lo, rate):
@@ -377,48 +440,58 @@ def pinned_quote(lam, params: MarketParams):
 
 def _pinned(lam, params: MarketParams):
     """pinned_quote at a vector of rates, with the profit there and a mask
-    of the rows quoted above lo (r or the cap).  Choosing between lo and
-    r takes one objective call over the rows [lo; r]."""
-    a, b2, mu, c = params.a, params.b2, params.mu, params.c
-    objective = _mm1k_objective(params)
-    lo = np.atleast_1d(min_leadtime_for_service(lam, params))
+    of the rows quoted above lo (r or the cap).
+
+    The quote search hands on its kernel values at lo, so the profit at lo
+    and the first Newton step toward r cost no call of their own; one
+    objective call covers the rows with an r, and lambda_eff and L_s are
+    computed once for the whole vector."""
+    a, b2, mu, K, c = params.a, params.b2, params.mu, params.K, params.c
+    leff, ls = _mm1k_load(lam, params)
+    lo, ontime, log_g, slope = min_leadtime_for_service(lam, params, log_density=True)
     if c > 0 and b2 == 0:
         quote = _leadtime_cap(lo, mu)
-        return quote, objective(lam, quote), np.ones(lam.shape, dtype=bool)
+        profit = _mm1k_value(lam, quote, mm1k_ontime_prob(lam, mu, K, quote), leff, ls, params)
+        return quote, profit, np.ones(lam.shape, dtype=bool)
+    profit = _mm1k_value(lam, lo, ontime, leff, ls, params)
+    quote, penalty = lo.copy(), np.zeros(lam.shape, dtype=bool)
     rows = np.flatnonzero((lam > 0) & ((a - lam) / b2 > lo)) if c > 0 else np.arange(0)
-    root = _right_end(lam[rows], lo[rows], params) if rows.size else np.zeros(0)
+    root = _right_end(lam[rows], lo[rows], log_g[rows], slope[rows], leff[rows], ls[rows], params)
     found = np.isfinite(root)
     rows = rows[found]
-    # A root that converged onto lo may sit up to QUOTE_TOL below it.
-    r = np.maximum(root[found], lo[rows])
-    profit = objective(np.concatenate([lam, lam[rows]]), np.concatenate([lo, r]))
-    profit, at_r = profit[:lam.size], profit[lam.size:]
-    better = at_r > profit[rows]
-    rows, quote, penalty = rows[better], lo.copy(), np.zeros(lam.shape, dtype=bool)
-    quote[rows], profit[rows], penalty[rows] = r[better], at_r[better], True
+    if rows.size:
+        # A root that converged onto lo may sit up to QUOTE_TOL below it.
+        r = np.maximum(root[found], lo[rows])
+        at_r = _mm1k_value(lam[rows], r, mm1k_ontime_prob(lam[rows], mu, K, r),
+                           leff[rows], ls[rows], params)
+        better = at_r > profit[rows]
+        rows = rows[better]
+        quote[rows], profit[rows], penalty[rows] = r[better], at_r[better], True
     return quote, profit, penalty
 
 
-def _right_end(lam, lo, params: MarketParams):
+def _right_end(lam, lo, log_g, slope, leff, ls, params: MarketParams):
     """The right end r (see pinned_quote) clipped to the zero-price bound,
     NaN where there is none above lo, for rows with lam > 0 and lo below
-    that bound."""
+    that bound.  log_g and slope are the kernel's values at lo, and leff
+    and ls those of _mm1k_load."""
     a, b1, b2, mu, K, c = params.a, params.b1, params.b2, params.mu, params.K, params.c
     hi = (a - lam) / b2
-    leff = lam * (1.0 - mm1k_blocking(lam, mu, K))
-    log_level = np.log(leff * b2 / (b1 * c * mm1k_mean_number(lam, mu, K)))
+    log_level = np.log(leff * b2 / (b1 * c * ls))
     x = np.where(lam > mu, np.maximum(lo, (K - 1) / mu), lo)
     x = np.minimum(x, hi)
+    log_g, slope = log_g.copy(), slope.copy()
+    moved = np.flatnonzero(x != lo)
+    if moved.size:
+        _, log_g[moved], slope[moved] = mm1k_ontime_prob(lam[moved], mu, K, x[moved],
+                                                         log_density=True)
     root = np.full_like(lam, np.nan)
     live = np.arange(lam.size)
     for _ in range(_MAX_NEWTON_STEPS):
-        if not live.size:
-            break
         xs = x[live]
-        _, log_g, slope = mm1k_ontime_prob(lam[live], mu, K, xs, log_density=True)
-        phi = log_g - log_level[live]
+        phi = log_g[live] - log_level[live]
         with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = np.where(slope < 0.0, xs - phi / slope, np.inf)
+            nxt = np.where(slope[live] < 0.0, xs - phi / slope[live], np.inf)
         # Left of r (only from the start point) the step overshoots past r;
         # at hi with phi still positive, r lies beyond the zero-price bound.
         # Right of r, a rising g or a step below lo means no r above lo.
@@ -426,23 +499,35 @@ def _right_end(lam, lo, params: MarketParams):
         at_cap = up & (xs >= hi[live])
         nxt = np.where(up, np.minimum(nxt, hi[live]), nxt)
         done = at_cap | (np.abs(nxt - xs) <= QUOTE_TOL)
-        lost = ~up & ((slope >= 0.0) | (nxt <= lo[live]))
+        lost = ~up & ((slope[live] >= 0.0) | (nxt <= lo[live]))
         root[live[done]] = np.where(at_cap, xs, nxt)[done]
         x[live] = nxt
         live = live[~(done | lost)]
+        if not live.size:
+            break
+        _, log_g[live], slope[live] = mm1k_ontime_prob(lam[live], mu, K, x[live], log_density=True)
     return root
+
+
+def _zero_margin_rate(params: MarketParams) -> float:
+    """a - b1 m - b2 z/mu, floored at 0: above this arrival rate the price
+    is at most m at every quote that meets the service level, so profit is
+    at most 0.  Positive profit needs p > m, and an admitted sojourn is
+    stochastically at least Exp(mu) in every model, so every quote is at
+    least z/mu."""
+    return max(params.a - params.b1 * params.m - params.b2 * params.z / params.mu, 0.0)
 
 
 def solve_mm1k_numeric(params: MarketParams) -> Solution:
     """Optimal policy of the finite-buffer system by a search over lambda.
 
     The quote at each lambda is pinned by pinned_quote, and _zoom searches
-    lambda alone.  Declared infeasible when no rate attains nonnegative
-    price, the service level, and nonnegative profit.  The branch is
-    service-binding where the quote is the service-level minimum and
-    penalty-binding where it is above.
+    lambda alone, up to _zero_margin_rate.  Declared infeasible when no
+    rate attains nonnegative price, the service level, and nonnegative
+    profit.  The branch is service-binding where the quote is the
+    service-level minimum and penalty-binding where it is above.
     """
-    result = _zoom(lambda lam: _pinned(lam, params), params.a)
+    result = _zoom(lambda lam: _pinned(lam, params), _zero_margin_rate(params))
     return _numeric_solution(params, result, {"model": "mm1k", "K": params.K})
 
 
@@ -489,14 +574,11 @@ def _oracle_band(params: MarketParams, model: str):
     """The oracle's search box for one model: the top of its lambda range
     and its full quote band.  lo is the service-level minimum and hi the
     zero-price bound, or the penalty-elimination cap when b2 = 0 (profit
-    never falls in l there).
-
-    Positive profit needs p > m, and an admitted sojourn is stochastically
-    at least Exp(mu), so every model quotes l >= z/mu; hence lambda stays
-    below a - b1 m - b2 z/mu.  Capping the range there, from market fields
-    alone, lets the coarse grid see thin regions of positive profit."""
+    never falls in l there).  lambda stops at _zero_margin_rate: capping
+    the range there, from market fields alone, lets the coarse grid see
+    thin regions of positive profit."""
     a, b2, mu, z = params.a, params.b2, params.mu, params.z
-    lam_hi = max(a - params.b1 * params.m - b2 * z / mu, 0.0)
+    lam_hi = _zero_margin_rate(params)
     if model == "mm1":
         lam_hi = min(lam_hi, mu - STABILITY_MARGIN)
 

@@ -174,6 +174,18 @@ def test_sweep_rejects_bad_grid(capsys):
     assert main(["sweep", "--jobs", "0"]) == EXIT_CONFIG
 
 
+def test_sweep_rejects_a_capacity_other_than_one(tmp_path, capsys):
+    # The gain table compares the single-slot system, so a sweep at K = 3
+    # would tabulate K = 1 under a base that names K = 3.
+    out = tmp_path / "table"
+    code = main(["sweep", "--K", "3", "--a-values", "30", "--b2-values", "20",
+                 "--out", str(out), "--no-timestamp"])
+    err = json.loads(capsys.readouterr().err.strip())
+    assert code == EXIT_CONFIG
+    assert err["error"] == "sweep compares the single-slot system; needs K = 1, got K = 3"
+    assert not list(tmp_path.iterdir())
+
+
 def test_out_path_in_missing_directory_is_clean_error(tmp_path, capsys):
     target = tmp_path / "no_such_dir" / "table"
     code = main(["sweep", "--a-values", "30", "--b2-values", "5",

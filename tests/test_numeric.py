@@ -85,6 +85,26 @@ def test_newton_quote_matches_bisection(K):
     assert np.max(np.abs(got - _bisected_quote(lams, params))) <= 1e-10
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mu=st.floats(0.5, 50.0), K=st.sampled_from([1, 2, 5, 20, 200, 2000]),
+       s=st.one_of(st.just(0.0), st.floats(0.01, 0.999)),
+       rho=st.lists(st.one_of(st.floats(0.0, 3.0, allow_subnormal=False), st.floats(3.0, 1e3)),
+                    min_size=1, max_size=6))
+def test_service_search_meets_the_level_and_hands_on_its_kernel_values(mu, K, s, rho):
+    # rho spans light loads, rho = 1 neighbourhoods and rho >> 1, where the
+    # kernel takes its first term in log space.
+    params = BASE.with_updates(mu=mu, K=K, s=s)
+    lam = mu * np.array(rho)
+    quote, ontime, log_g, slope = min_leadtime_for_service(lam, params, log_density=True)
+    assert np.array_equal(quote, min_leadtime_for_service(lam, params))
+    for got, want in zip((ontime, log_g, slope), mm1k_ontime_prob(lam, mu, K, quote, log_density=True)):
+        assert np.array_equal(got, want)
+    assert np.all(ontime >= s)
+    if s > 0.0:
+        below = np.maximum(quote - numeric.QUOTE_TOL, 0.0)
+        assert np.all(mm1k_ontime_prob(lam, mu, K, below) < s)
+
+
 def _best_scanned_quote(lam, params, points=401):
     """Argmax of mm1k_profit over [lo, hi] on a grid, then on a finer grid
     around the coarse winner."""
@@ -166,9 +186,11 @@ def test_finite_buffer_search_is_one_dimensional():
 
 
 def test_finite_buffer_solve_makes_few_ontime_calls(monkeypatch):
-    # Time goes to sequential on-time kernel calls, each a K-step loop.
-    # 12 rounds of 9 points with three objective calls per round make 90
-    # calls here; the wide rounds must make at most half as many.
+    # Time goes to sequential on-time kernel calls, each a few dozen numpy
+    # operations at any K, so each evaluation must be spent once: the quote
+    # search hands its last point on to the profit and right-end steps and
+    # closes its bracket in one call, and lambda stops at the zero-margin
+    # rate.
     calls = []
 
     def counted(*args, **kwargs):
@@ -178,7 +200,27 @@ def test_finite_buffer_solve_makes_few_ontime_calls(monkeypatch):
     monkeypatch.setattr(numeric, "mm1k_ontime_prob", counted)
     sol = solve_mm1k_numeric(BASE.with_updates(a=70.0, b2=5.0, K=20))
     assert sol.feasible
-    assert len(calls) <= 45
+    assert len(calls) <= 26
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 40),
+       zeroed=st.sampled_from([(), ("b2",), ("c",), ("s",), ("b2", "c", "s")]),
+       above=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=4))
+def test_no_quote_earns_a_profit_above_the_zero_margin_rate(seed, K, zeroed, above):
+    # The finite-buffer solver searches lambda only up to this rate; every
+    # quote in the band at a rate above it must lose money, or the cap
+    # could cut off an optimum.
+    params = random_params(np.random.default_rng(seed), costs_on=True)
+    params = params.with_updates(K=K, **dict.fromkeys(zeroed, 0.0))
+    cap = numeric._zero_margin_rate(params)
+    _, band = numeric._oracle_band(params, "mm1k")
+    lam = cap + (params.a - cap) * np.array(above)
+    lo, hi = band(lam)
+    for rate, l_lo, l_hi in zip(lam, lo, hi):
+        for l in np.linspace(l_lo, max(l_hi, l_lo), 9):
+            policy = Policy(p=(params.a - params.b2 * l - rate) / params.b1, l=float(l), lam=float(rate))
+            assert mm1k_profit(policy, params) <= 0.0
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
