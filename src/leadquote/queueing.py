@@ -83,9 +83,10 @@ def mm1k_blocking(lam, mu: float, K: int):
     near_one = np.abs(rho - 1.0) <= RHO_ONE_TOL
     # t = min(rho, 1/rho) <= 1, 0.5 where rho is 0 or 1, whose branches
     # never read it.  For rho > 1 the blocking probability equals
-    # (1 - q)/(1 - q^(K+1)) with q = 1/rho = t.
+    # (1 - q)/(1 - q^(K+1)) with q = 1/rho = t.  The reciprocal is taken
+    # of max(t, 1), since 1/t overflows at a subnormal rho.
     t = np.where(near_one | (rho == 0.0), 0.5, rho)
-    t = np.minimum(t, 1.0 / t)
+    t = np.minimum(t, 1.0 / np.maximum(t, 1.0))
     num = np.where(rho > 1.0, 1.0 - t, (1.0 - t) * t**K)
     block = np.where(near_one, 1.0 / (K + 1), num / (1.0 - t ** (K + 1)))
     return _ret(np.where(rho == 0.0, 0.0, block), scalar)

@@ -10,7 +10,9 @@ aligned regardless of blocking decisions.
 Estimates are taken over the post-warm-up window (first 5% of the horizon
 discarded): counts are classified by arrival time, the time-average number
 in system integrates occupancy over the window, and every estimate carries
-a 95% half-width from 20 batch means.
+a 95% half-width from 20 batch means.  The event loop hands its jobs over
+one arrival chunk at a time; each chunk is added into the per-batch sums
+and dropped, so memory does not grow with the horizon.
 """
 
 from __future__ import annotations
@@ -95,29 +97,25 @@ class ValidationVerdict:
 
 
 def _drain(policy: Policy, params: MarketParams, horizon: float, seed: int):
-    """Run the event loop; returns admitted (arrival, departure) arrays and
-    blocked arrival times.  Arrival times come a chunk at a time from a
-    sequential cumsum, which matches t += gap bit for bit, and an arrival
-    is blocked when the K-th most recent departure is later than it."""
+    """Run the event loop, yielding one arrival chunk at a time: its admitted
+    (arrival, departure) arrays and its blocked arrival times.  Arrival times
+    come from a sequential cumsum, which matches t += gap bit for bit, and
+    an arrival is blocked when the K-th most recent departure is later than
+    it; only the last K departures are carried from chunk to chunk."""
     lam, K = policy.lam, params.K
-    if lam <= 0:
-        raise ValueError("simulation needs a positive demand rate")
-    if not 0 < horizon < math.inf:
-        raise ValueError(f"simulation horizon must be positive and finite, got {horizon}")
     root = np.random.SeedSequence(seed)
     arr_rng, svc_rng = (np.random.default_rng(s) for s in root.spawn(2))
     next_service = chain.from_iterable(
         svc_rng.exponential(1.0 / params.mu, _CHUNK).tolist() for _ in count()).__next__
 
-    arrivals = array("d")
-    departures = array("d")
-    blocked = array("d")
-    admit, depart, block = arrivals.append, departures.append, blocked.append
+    departures = array("d")  # the last K carried over, then this chunk's
     last = 0.0  # latest departure so far
     t, cut = 0.0, _CHUNK
     while cut == _CHUNK:  # the last chunk ended before the horizon; t is its end
         times = np.cumsum(np.concatenate(([t], arr_rng.exponential(1.0 / lam, _CHUNK))))[1:]
         cut = int(np.searchsorted(times, horizon))
+        arrivals, blocked, carried = array("d"), array("d"), len(departures)
+        admit, depart, block = arrivals.append, departures.append, blocked.append
         for t in times[:cut].tolist():
             try:
                 if departures[-K] > t:
@@ -128,11 +126,12 @@ def _drain(policy: Policy, params: MarketParams, horizon: float, seed: int):
             last = (last if last > t else t) + next_service()
             admit(t)
             depart(last)
-    return (
-        np.frombuffer(arrivals, dtype=float),
-        np.frombuffer(departures, dtype=float),
-        np.frombuffer(blocked, dtype=float),
-    )
+        yield (
+            np.frombuffer(arrivals, dtype=float),
+            np.frombuffer(departures[carried:], dtype=float),
+            np.frombuffer(blocked, dtype=float),
+        )
+        del departures[:-K]
 
 
 def _batch_ci(values: np.ndarray) -> float:
@@ -152,6 +151,34 @@ def _batch_areas(arr: np.ndarray, dep: np.ndarray, edges: np.ndarray) -> np.ndar
                      for i, k, lo, hi in zip(first, stop, edges[:-1], edges[1:])])
 
 
+def _batch_sums(arr: np.ndarray, dep: np.ndarray, blk: np.ndarray,
+                edges: np.ndarray, l: float) -> np.ndarray:
+    """One chunk's share of each per-batch sum, one row each: admitted,
+    blocked and served counts, sojourn, on-time and lateness-excess sums
+    (each by arrival time, over arrivals in the window), and the occupancy
+    area, to which warm-up arrivals still in system after t0 add too."""
+    t0, horizon = edges[0], edges[-1]
+    width = (horizon - t0) / N_BATCHES
+
+    def batch(times):
+        return np.clip(((times - t0) / width).astype(int), 0, N_BATCHES - 1)
+
+    # All three arrays are sorted, so the window is a tail slice of each.
+    first = np.searchsorted(arr, t0)
+    a_w, d_w = arr[first:], dep[first:]
+    adm_bin = batch(a_w)
+    sojourn = d_w - a_w
+    return np.stack([
+        np.bincount(adm_bin, minlength=N_BATCHES),
+        np.bincount(batch(blk[np.searchsorted(blk, t0):]), minlength=N_BATCHES),
+        np.bincount(adm_bin, weights=d_w <= horizon, minlength=N_BATCHES),
+        np.bincount(adm_bin, weights=sojourn, minlength=N_BATCHES),
+        np.bincount(adm_bin, weights=sojourn <= l, minlength=N_BATCHES),
+        np.bincount(adm_bin, weights=np.maximum(sojourn - l, 0.0), minlength=N_BATCHES),
+        _batch_areas(arr, dep, edges),
+    ])
+
+
 def simulate(policy: Policy, params: MarketParams, horizon: float, seed: int = 0) -> SimReport:
     """Simulate the finite-buffer queue under a fixed policy.
 
@@ -160,48 +187,31 @@ def simulate(policy: Policy, params: MarketParams, horizon: float, seed: int = 0
     structure with empirical factors (throughput * P(late) * mean sojourn
     for the lateness exposure) and the exact per-job lateness (W - l)+.
     """
-    arr, dep, blk = _drain(policy, params, horizon, seed)
+    if policy.lam <= 0:
+        raise ValueError("simulation needs a positive demand rate")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"simulation horizon must be positive and finite, got {horizon}")
     t0 = WARMUP_FRACTION * horizon
     window = horizon - t0
+    edges = np.linspace(t0, horizon, N_BATCHES + 1)
+    width = window / N_BATCHES
+    sums = np.zeros((7, N_BATCHES))
+    for arr, dep, blk in _drain(policy, params, horizon, seed):
+        sums += _batch_sums(arr, dep, blk, edges, policy.l)
+    adm_counts, blk_counts, served_counts, sojourn_sums, ontime_sums, excess_sums, areas = sums
 
-    # All three arrays are sorted, so the window is a tail slice of each.
-    first_adm = np.searchsorted(arr, t0)
-    a_w, d_w = arr[first_adm:], dep[first_adm:]
-    blk_w = blk[np.searchsorted(blk, t0):]
-    n_adm = len(a_w)
-    n_blocked = len(blk_w)
+    n_adm = int(adm_counts.sum())
+    n_blocked = int(blk_counts.sum())
     n_arrivals = n_adm + n_blocked
     if n_arrivals == 0:
         raise ValueError("no arrivals in the measurement window; enlarge the horizon")
-    n_served = int((d_w <= horizon).sum())
-    n_in_system_end = n_adm - n_served
-
-    sojourn = d_w - a_w
-    late_excess = np.maximum(sojourn - policy.l, 0.0)
-    # Occupancy integral over the window uses every admitted job, including
-    # warm-up arrivals still in system after t0.
-    overlap = np.minimum(dep, horizon) - np.maximum(arr, t0)
-    area = float(overlap[overlap > 0].sum())
-
-    p_margin = policy.p - params.m
-    F, c = params.F, params.c
-
-    edges = np.linspace(t0, horizon, N_BATCHES + 1)
-    width = window / N_BATCHES
-    adm_bin = np.clip(((a_w - t0) / width).astype(int), 0, N_BATCHES - 1)
-    blk_bin = np.clip(((blk_w - t0) / width).astype(int), 0, N_BATCHES - 1)
-    adm_counts = np.bincount(adm_bin, minlength=N_BATCHES).astype(float)
-    blk_counts = np.bincount(blk_bin, minlength=N_BATCHES).astype(float)
     all_counts = adm_counts + blk_counts
     if np.any(all_counts == 0):
         raise ValueError("a batch saw no arrivals; enlarge the horizon")
-    served_counts = np.bincount(adm_bin, weights=(d_w <= horizon).astype(float),
-                                minlength=N_BATCHES)
-    sojourn_sums = np.bincount(adm_bin, weights=sojourn, minlength=N_BATCHES)
-    ontime_sums = np.bincount(adm_bin, weights=(sojourn <= policy.l).astype(float),
-                              minlength=N_BATCHES)
-    excess_sums = np.bincount(adm_bin, weights=late_excess, minlength=N_BATCHES)
-    areas = _batch_areas(arr, dep, edges)
+    n_served = int(served_counts.sum())
+
+    p_margin = policy.p - params.m
+    F, c = params.F, params.c
 
     b_block = blk_counts / all_counts
     b_number = areas / width
@@ -213,17 +223,17 @@ def simulate(policy: Policy, params: MarketParams, horizon: float, seed: int = 0
     b_profit_exact = b_through * p_margin - F * b_number - c * excess_sums / width
 
     throughput = n_served / window
-    mean_number = area / window
-    mean_sojourn = float(sojourn.mean()) if n_adm else 0.0
-    ontime = float((sojourn <= policy.l).mean()) if n_adm else 1.0
+    mean_number = float(areas.sum()) / window
+    mean_sojourn = float(sojourn_sums.sum()) / n_adm if n_adm else 0.0
+    ontime = float(ontime_sums.sum()) / n_adm if n_adm else 1.0
     profit_factored = throughput * p_margin - F * mean_number - c * throughput * (1.0 - ontime) * mean_sojourn
-    profit_exact = throughput * p_margin - F * mean_number - c * float(late_excess.sum()) / window
+    profit_exact = throughput * p_margin - F * mean_number - c * float(excess_sums.sum()) / window
 
     return SimReport(
         n_arrivals=n_arrivals,
         n_blocked=n_blocked,
         n_served=n_served,
-        n_in_system_end=n_in_system_end,
+        n_in_system_end=n_adm - n_served,
         block_prob=Estimate(n_blocked / n_arrivals, _batch_ci(b_block)),
         mean_number=Estimate(mean_number, _batch_ci(b_number)),
         throughput=Estimate(throughput, _batch_ci(b_through)),

@@ -6,6 +6,7 @@ cdf; the same construction is re-run live in test_certify.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,17 @@ def test_zero_arrival_rate():
     with pytest.raises(ValueError):
         mm1k_mean_sojourn(0.0, 10.0, 3)
 
+
+def test_subnormal_arrival_rate_raises_no_warning():
+    # at rho = 5e-324, 1/rho overflows; blocking underflows to 0, so every
+    # arrival is admitted
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        block = mm1k_blocking(5e-324, 1.0, 3)
+        through = mm1k_throughput(5e-324, 1.0, 3)
+        blocks = mm1k_blocking(np.array([5e-324, 5.0]), 1.0, 3)
+    assert block == 0.0 and through == 5e-324
+    assert blocks[0] == 0.0 and blocks[1] == mm1k_blocking(5.0, 1.0, 3)
 
 def test_vectorized_matches_scalar():
     # numpy routes 0-d pow through libm but arrays through its simd kernel,

@@ -1,17 +1,24 @@
 """Discrete-event simulator: exact count identities, reproducibility,
-and 3-sigma agreement with the steady-state formulas at short horizons.
-The long-horizon statistical battery lives in the acceptance suite."""
+3-sigma agreement with the steady-state formulas at short horizons, and
+agreement of the per-chunk estimates with a whole-array oracle.  The
+long-horizon statistical battery lives in the acceptance suite."""
 
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from array import array
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leadquote
 from leadquote import (
     MarketParams,
     Policy,
@@ -19,7 +26,16 @@ from leadquote import (
     simulate,
     validate,
 )
-from leadquote.simulate import _CHUNK, N_BATCHES, WARMUP_FRACTION, _batch_areas, _drain
+from leadquote.simulate import (
+    _CHUNK,
+    N_BATCHES,
+    WARMUP_FRACTION,
+    Estimate,
+    SimReport,
+    _batch_areas,
+    _batch_ci,
+    _drain,
+)
 
 PARAMS_K3 = MarketParams(a=30.0, b1=4.0, b2=20.0, mu=10.0, m=5.0, s=0.95, F=2.0, c=10.0, K=3)
 POLICY_K3 = Policy(p=9.0, l=0.3, lam=5.0)
@@ -182,8 +198,13 @@ def _reference_drain(policy: Policy, params: MarketParams, horizon: float, seed:
     )
 
 
+def _joined(policy, params, horizon, seed):
+    """_drain's chunks joined into whole (arrival, departure, blocked) arrays."""
+    return [np.concatenate(col) for col in zip(*_drain(policy, params, horizon, seed))]
+
+
 def _assert_same_paths(policy, params, horizon, seed):
-    fast = _drain(policy, params, horizon, seed)
+    fast = _joined(policy, params, horizon, seed)
     slow = _reference_drain(policy, params, horizon, seed)
     for got, want in zip(fast, slow):
         assert np.array_equal(got, want)
@@ -221,7 +242,7 @@ def _window_areas(arr, dep, horizon):
 
 def test_batch_areas_sum_to_window_area():
     horizon = 4000.0
-    arr, dep, _ = _drain(POLICY_K3, PARAMS_K3, horizon, 11)
+    arr, dep, _ = _joined(POLICY_K3, PARAMS_K3, horizon, 11)
     areas, edges = _window_areas(arr, dep, horizon)
     overlap = np.minimum(dep, horizon) - np.maximum(arr, edges[0])
     assert areas.sum() == pytest.approx(overlap[overlap > 0].sum(), rel=1e-12)
@@ -230,9 +251,143 @@ def test_batch_areas_sum_to_window_area():
 def test_batch_areas_match_full_array_formula_when_jobs_span_batches():
     horizon = 200.0
     pol, params = Policy(p=9.0, l=0.3, lam=15.0), PARAMS_K3.with_updates(K=200)
-    arr, dep, _ = _drain(pol, params, horizon, 3)
+    arr, dep, _ = _joined(pol, params, horizon, 3)
     areas, edges = _window_areas(arr, dep, horizon)
     assert float(np.max(dep - arr)) > 2.0 * (edges[1] - edges[0])
     for j in range(N_BATCHES):
         seg = np.minimum(dep, edges[j + 1]) - np.maximum(arr, edges[j])
         assert areas[j] == pytest.approx(np.clip(seg, 0.0, None).sum(), rel=1e-12)
+
+
+def _reference_report(policy: Policy, params: MarketParams, horizon: float, seed: int) -> SimReport:
+    """Test oracle: the estimator as first written, on whole arrays from
+    _reference_drain."""
+    arr, dep, blk = _reference_drain(policy, params, horizon, seed)
+    t0 = WARMUP_FRACTION * horizon
+    window = horizon - t0
+
+    first_adm = np.searchsorted(arr, t0)
+    a_w, d_w = arr[first_adm:], dep[first_adm:]
+    blk_w = blk[np.searchsorted(blk, t0):]
+    n_adm = len(a_w)
+    n_blocked = len(blk_w)
+    n_arrivals = n_adm + n_blocked
+    n_served = int((d_w <= horizon).sum())
+
+    sojourn = d_w - a_w
+    late_excess = np.maximum(sojourn - policy.l, 0.0)
+    overlap = np.minimum(dep, horizon) - np.maximum(arr, t0)
+    area = float(overlap[overlap > 0].sum())
+
+    p_margin = policy.p - params.m
+    F, c = params.F, params.c
+
+    edges = np.linspace(t0, horizon, N_BATCHES + 1)
+    width = window / N_BATCHES
+    adm_bin = np.clip(((a_w - t0) / width).astype(int), 0, N_BATCHES - 1)
+    blk_bin = np.clip(((blk_w - t0) / width).astype(int), 0, N_BATCHES - 1)
+    adm_counts = np.bincount(adm_bin, minlength=N_BATCHES).astype(float)
+    blk_counts = np.bincount(blk_bin, minlength=N_BATCHES).astype(float)
+    served_counts = np.bincount(adm_bin, weights=(d_w <= horizon).astype(float),
+                                minlength=N_BATCHES)
+    sojourn_sums = np.bincount(adm_bin, weights=sojourn, minlength=N_BATCHES)
+    ontime_sums = np.bincount(adm_bin, weights=(sojourn <= policy.l).astype(float),
+                              minlength=N_BATCHES)
+    excess_sums = np.bincount(adm_bin, weights=late_excess, minlength=N_BATCHES)
+    areas = _batch_areas(arr, dep, edges)
+
+    b_block = blk_counts / (adm_counts + blk_counts)
+    b_number = areas / width
+    b_through = served_counts / width
+    safe_adm = np.maximum(adm_counts, 1.0)
+    b_sojourn = sojourn_sums / safe_adm
+    b_ontime = ontime_sums / safe_adm
+    b_profit_factored = b_through * p_margin - F * b_number - c * b_through * (1.0 - b_ontime) * b_sojourn
+    b_profit_exact = b_through * p_margin - F * b_number - c * excess_sums / width
+
+    throughput = n_served / window
+    mean_number = area / window
+    mean_sojourn = float(sojourn.mean()) if n_adm else 0.0
+    ontime = float((sojourn <= policy.l).mean()) if n_adm else 1.0
+    profit_factored = throughput * p_margin - F * mean_number - c * throughput * (1.0 - ontime) * mean_sojourn
+    profit_exact = throughput * p_margin - F * mean_number - c * float(late_excess.sum()) / window
+
+    return SimReport(
+        n_arrivals=n_arrivals,
+        n_blocked=n_blocked,
+        n_served=n_served,
+        n_in_system_end=n_adm - n_served,
+        block_prob=Estimate(n_blocked / n_arrivals, _batch_ci(b_block)),
+        mean_number=Estimate(mean_number, _batch_ci(b_number)),
+        throughput=Estimate(throughput, _batch_ci(b_through)),
+        mean_sojourn=Estimate(mean_sojourn, _batch_ci(b_sojourn)),
+        ontime_prob=Estimate(ontime, _batch_ci(b_ontime)),
+        profit_factored_lateness=Estimate(profit_factored, _batch_ci(b_profit_factored)),
+        profit_exact_lateness=Estimate(profit_exact, _batch_ci(b_profit_exact)),
+        seed=seed,
+        horizon=horizon,
+    )
+
+
+def _assert_matches_reference(policy, params, horizon, seed):
+    got = simulate(policy, params, horizon, seed)
+    want = _reference_report(policy, params, horizon, seed)
+    for field in dataclasses.fields(SimReport):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(w, Estimate):
+            # per-chunk sums add in a different order: last bits only
+            assert g.value == pytest.approx(w.value, rel=1e-12, abs=0.0), field.name
+            assert g.halfwidth == pytest.approx(w.halfwidth, rel=1e-12, abs=0.0), field.name
+        else:
+            assert g == w, field.name
+
+
+@pytest.mark.parametrize("K, lam, horizon, seed, chunks", [
+    (3, 5.0, 4000.0, 11, (1, 1)),
+    (3, 20.0, 12_000.0, 4, (3, 5)),
+    (200, 15.0, 200.0, 3, (1, 1)),  # jobs span batch edges
+], ids=["one-chunk", "several-chunks", "jobs-span-batches"])
+def test_streamed_report_matches_whole_array_estimator(K, lam, horizon, seed, chunks):
+    policy, params = Policy(p=9.0, l=0.3, lam=lam), PARAMS_K3.with_updates(K=K)
+    n_chunks = sum(1 for _ in _drain(policy, params, horizon, seed))
+    assert chunks[0] <= n_chunks <= chunks[1]
+    _assert_matches_reference(policy, params, horizon, seed)
+
+
+def test_streamed_report_matches_when_jobs_span_chunks():
+    # rho = 1.5 keeps the 200-slot buffer nearly full, so every chunk's last
+    # admitted job departs after the next chunk's first arrival, and the
+    # admission test reads departures carried over from the chunk before
+    policy, params = Policy(p=9.0, l=0.3, lam=15.0), PARAMS_K3.with_updates(K=200)
+    horizon, seed = 10_000.0, 5
+    chunks = list(_drain(policy, params, horizon, seed))
+    assert len(chunks) >= 3
+    for (_, dep, _), (arr, _, blk) in zip(chunks, chunks[1:]):
+        assert dep[-1] > min(arr[0], blk[0])
+    _assert_same_paths(policy, params, horizon, seed)
+    _assert_matches_reference(policy, params, horizon, seed)
+
+
+_PEAK_RSS_SCRIPT = """
+import resource
+from leadquote import MarketParams, Policy, simulate
+
+params = MarketParams(a=30.0, b1=4.0, b2=20.0, mu=10.0, m=5.0, s=0.95, F=2.0, c=10.0, K=3)
+policy = Policy(p=9.0, l=0.3, lam=5.0)
+simulate(policy, params, horizon=2e4, seed=1)  # 1e5 arrivals
+small = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+simulate(policy, params, horizon=2e5, seed=2)  # 1e6 arrivals
+print(small, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
+def test_peak_memory_does_not_grow_with_the_horizon():
+    # A fresh process, so no earlier test sets the peak.  Holding every
+    # arrival would cost about 45 bytes each, 45 MB here.
+    src = str(Path(leadquote.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    small_kb, large_kb = map(int, out.split())
+    assert large_kb - small_kb < 10 * 1024
