@@ -37,6 +37,7 @@ from .closed_form import (
 )
 from .numeric import (
     brute_force_oracle,
+    brute_force_oracles,
     min_leadtime_for_service,
     mm1_profit,
     mm1k_profit,
@@ -77,6 +78,7 @@ __all__ = [
     "solve_mm11_no_costs",
     "solve_mm11_with_costs",
     "brute_force_oracle",
+    "brute_force_oracles",
     "min_leadtime_for_service",
     "mm1_profit",
     "mm1k_profit",

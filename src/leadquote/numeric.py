@@ -1,36 +1,35 @@
 """Numeric solvers: the finite-buffer profit problem, accept-all
 baselines, and a brute-force oracle for certifying the closed forms.
 
-Two searches run here.  The finite-buffer solver pins the quote as a
-function of lambda and searches lambda alone with _zoom: a coarse scan,
-then a few wide rounds around the incumbent.  Its cost is the number of
-sequential calls to the on-time kernel, each a few dozen numpy calls
-whose cost hardly grows with the number of points (or with K, since the
-kernel is closed form), so few wide rounds beat many narrow ones (and
-beat golden-section or Brent steps, one sequential call each).  The accept-all baseline and
-the oracle run _search, a dense coarse grid followed by shrinking local
+Both solvers pin the quote as a function of lambda and search lambda
+alone with _zoom: a coarse scan, then rounds around the incumbent.  The
+finite-buffer solver's cost is the number of sequential calls to the
+on-time kernel, each a few dozen numpy calls whose cost hardly grows with
+the number of points (or with K, since the kernel is closed form), so it
+runs a few wide rounds (which also beat golden-section or Brent steps,
+one sequential call each); the accept-all baseline runs many narrow ones.
+The oracle runs _search, a dense coarse grid followed by shrinking local
 refinements over lambda and u in [0, 1], which places the quote in a
-per-lambda band [lo, hi] and so keeps the search box rectangular.  The
-solvers run fixed grid constants; the oracle sets its steps from its
-resolution.
+per-lambda band [lo, hi] and so keeps the search box rectangular.  It
+searches a stack of markets at once: the coarse grids one by one, each
+refinement round for all of them, with steps set by its resolution.
 
 For the accept-all M/M/1 benchmark the profit is concave in l at fixed
 lambda and the best quote is ln(x)/(mu - lambda),
 x = max{1/(1-s), b1 c/b2}: the single-slot rule closed_form.quote_level
-with mu - lambda for mu, so its band has zero width.  For the
-finite-buffer system the slope in l is c L_s g(l) - lambda_eff b2/b1,
-with g the log-concave sojourn density, so it is positive on one
-interval at most and the best quote is lo or that interval's right end
-(clipped to hi), found by Newton steps on log g.  lo, the service-level
-minimum, is a bracketed Newton search on the on-time probability, which
-closes its bracket with one call of two points per row once Newton's own
-error estimate allows it, and hands its kernel values at lo on to the
-profit at lo and the first Newton step toward r (_pinned), so neither
-costs a call.  Above a - b1 m - b2 z/mu (_zero_margin_rate) no quote
-that meets the service level earns a margin, so the lambda search stops
-there.  Only the brute-force oracle searches the full band
-(_oracle_band), up to the zero-price bound (or a penalty-elimination cap
-when demand ignores lead time).
+with mu - lambda for mu.  For the finite-buffer system the slope in l is
+c L_s g(l) - lambda_eff b2/b1, with g the log-concave sojourn density, so
+it is positive on one interval at most and the best quote is lo or that
+interval's right end (clipped to hi), found by Newton steps on log g.
+lo, the service-level minimum, is a bracketed Newton search on the
+on-time probability, which closes its bracket with one call of two points
+per row once Newton's own error estimate allows it, and hands its kernel
+values at lo on to the profit at lo and the first Newton step toward r
+(_pinned), so neither costs a call.  Above a - b1 m - b2 z/mu
+(_zero_margin_rate) no quote that meets the service level earns a
+margin, so the lambda search stops there.  Only the oracle searches the
+full band (_oracle_band), up to the zero-price bound (or a
+penalty-elimination cap when demand ignores lead time).
 
 Tie-breaking is deterministic: smallest lambda, then smallest quote, and
 the incumbent is only replaced on strict improvement, so results do not
@@ -41,6 +40,7 @@ refinement rounds.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -71,16 +71,20 @@ SERVICE_SLACK = 1e-9
 # M/M/1 baselines never evaluate closer to instability than this.
 STABILITY_MARGIN = 1e-6
 
-# The solvers' lambda search: a coarse grid of _COARSE_POINTS intervals,
-# then local rounds, each shrinking the window.  _search (the baseline)
-# runs _REFINE_ROUNDS rounds of 9 points at _REFINE_SHRINK; _zoom (the
-# finite-buffer solver) runs _ZOOM_ROUNDS rounds of 129 points at
-# _ZOOM_SHRINK, which ends on the same spacing, since 64**4 = 4**12.
+# The solvers' lambda search, _zoom: a coarse grid of _COARSE_POINTS
+# intervals, then local rounds, each shrinking the window.  The
+# finite-buffer solver runs _ZOOM_ROUNDS rounds of 129 points at
+# _ZOOM_SHRINK; the accept-all baseline runs _REFINE_ROUNDS rounds of 9
+# points at _REFINE_SHRINK, which ends on the same spacing, since
+# 64**4 = 4**12.  The oracle's _search runs _ORACLE_ROUNDS rounds of 9 x 9
+# points at _REFINE_SHRINK, at the window offsets _OFFSETS.
 _COARSE_POINTS = 400
 _REFINE_ROUNDS = 12
 _REFINE_SHRINK = 0.25
 _ZOOM_ROUNDS = 4
 _ZOOM_SHRINK = 1.0 / 64.0
+_ORACLE_ROUNDS = 10
+_OFFSETS = np.linspace(-1.0, 1.0, int(round(2.0 / _REFINE_SHRINK)) + 1)
 
 # Quote accuracy of the Newton searches, and a cap on their iterations;
 # they stop on a bracket width or a step size long before the cap.
@@ -97,93 +101,87 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     return np.linspace(lo, hi, max(n, 2))
 
 
-def _search(objective, lam_hi, band, rounds=_REFINE_ROUNDS, step_lam=None, step_l=None):
-    """Maximize objective(lam, l) over lam in [0, lam_hi] and l in band(lam).
+def _search(objective, band, lam_hi, resolution):
+    """The oracle's grid search: for each market i of a stack, maximize
+    objective over lam in [0, lam_hi[i]] and l = lo + u (hi - lo), u in [0, 1].
 
-    band(lam) returns the quote band (lo, hi) for a vector of arrival rates
-    and is called once per vector.  objective takes broadcastable arrays
-    (lam as a column, l as a matrix) and returns profits with -inf marking
-    infeasible points.  The coarse steps default to span/_COARSE_POINTS
-    (the quote step only matters on a band of nonzero width, which only
-    the brute-force oracle searches).  Every refinement round runs: in one
-    dimension a round often finds no better rate only because the optimum
-    lies within its spacing of the incumbent, so stopping on a small
-    improvement would stop short.
+    band(lam, rows) returns (lo, hi) and objective(lam, L, rows) profits,
+    -inf where infeasible; rows is one market's index, or an index array
+    whose markets are lam's rows.  The coarse grids, with steps of
+    span/(resolution - 1) (in l, of the widest band on a 32-point probe),
+    run one market at a time, so memory stays at one grid.  Each of
+    _ORACLE_ROUNDS rounds then runs 9 x 9 points around every found
+    incumbent at once, in windows that start at the coarse steps and
+    shrink by _REFINE_SHRINK.  The clipped windows are sorted, so a
+    duplicate point never changes argmax's first-index tie-break;
+    evaluations count distinct points.  Every round runs: the optimum
+    often lies within a round's spacing of the incumbent, so stopping on a
+    small improvement would stop short.
     """
-    step_lam = step_lam or (lam_hi / _COARSE_POINTS if lam_hi > 0 else 1.0)
-    lam = _axis(0.0, lam_hi, step_lam)
-    lo, hi = band(lam)
-    spans = np.maximum(hi - lo, 0.0)
-    max_span = float(spans.max()) if spans.size else 0.0
-    step_l = step_l or (max_span / _COARSE_POINTS if max_span > 0 else 1.0)
-    n_u = int(math.ceil(max_span / step_l)) + 1 if max_span > 0 else 1
-    u = np.linspace(0.0, 1.0, max(n_u, 1))
+    n = len(lam_hi)
+    best, evals = np.full(n, -np.inf), np.zeros(n, dtype=int)
+    at_lam, at_l, at_u, w_lam, w_u = np.zeros((5, n))
+    for i in range(n):
+        w_lam[i] = lam_hi[i] / (resolution - 1) or 1.0
+        lam = _axis(0.0, lam_hi[i], w_lam[i])[:, None]
+        probe_lo, probe_hi = band(np.linspace(0.0, lam_hi[i], 32)[:, None], i)
+        widest = float(np.max(np.maximum(probe_hi - probe_lo, 0.0)))
+        lo, hi = band(lam, i)
+        span = np.maximum(hi - lo, 0.0)
+        max_span = float(span.max())
+        step_l = widest / (resolution - 1) or (max_span / _COARSE_POINTS if max_span > 0 else 1.0)
+        u = np.linspace(0.0, 1.0, int(math.ceil(max_span / step_l)) + 1 if max_span > 0 else 1)
+        L = lo + span * u
+        P = objective(lam, L, i)
+        evals[i] = P.size
+        j, k = divmod(int(np.argmax(P)), u.size)
+        if np.isfinite(P[j, k]):
+            best[i], at_lam[i], at_l[i], at_u[i] = P[j, k], lam[j, 0], L[j, k], u[k]
+        w_u[i] = 1.0 / (u.size - 1) if u.size > 1 else 0.0
 
-    evals = 0
-    best = {"profit": -np.inf, "lam": 0.0, "l": float(lo[0]), "u": 0.0}
+    live = np.flatnonzero(np.isfinite(best))
+    history = [best.copy()]
+    for _ in range(_ORACLE_ROUNDS if live.size else 0):
+        lam = np.clip(at_lam[live, None] + w_lam[live, None] * _OFFSETS, 0.0, lam_hi[live, None])
+        u = np.clip(at_u[live, None] + w_u[live, None] * _OFFSETS, 0.0, 1.0)
+        lo, hi = band(lam[:, :, None], live)
+        L = lo + np.maximum(hi - lo, 0.0) * u[:, None, :]
+        P = objective(lam[:, :, None], L, live).reshape(live.size, -1)
+        evals[live] += _distinct(lam) * _distinct(u)
+        value, (j, k) = P.max(axis=1), np.divmod(P.argmax(axis=1), _OFFSETS.size)
+        up = np.isfinite(value) & (value > best[live])
+        rows = live[up]
+        best[rows], at_lam[rows], at_l[rows], at_u[rows] = (
+            value[up], lam[up, j[up]], L[up, j[up], k[up]], u[up, k[up]])
+        history.append(best.copy())
+        w_lam[live], w_u[live] = w_lam[live] * _REFINE_SHRINK, w_u[live] * _REFINE_SHRINK
 
-    def consider(lam_vec, row_lo, row_hi, u_vec):
-        nonlocal evals
-        row_span = np.maximum(row_hi - row_lo, 0.0)
-        L = row_lo[:, None] + row_span[:, None] * u_vec[None, :]
-        P = objective(lam_vec[:, None], L)
-        evals += P.size
-        flat = int(np.argmax(P))
-        i, j = divmod(flat, P.shape[1])
-        value = float(P[i, j])
-        if np.isfinite(value) and value > best["profit"]:
-            best.update(
-                profit=value,
-                lam=float(lam_vec[i]),
-                l=float(L[i, j]),
-                u=float(u_vec[j]),
-            )
-
-    consider(lam, lo, hi, u)
-    round_profits = [best["profit"]]
-
-    w_lam = step_lam
-    w_u = 1.0 / (len(u) - 1) if len(u) > 1 else 0.0
-    pts = int(round(2.0 / _REFINE_SHRINK)) + 1
-    rounds_used = 0
-    for _ in range(rounds):
-        if not np.isfinite(best["profit"]):
-            break
-        lam_w = np.unique(np.clip(best["lam"] + w_lam * np.linspace(-1.0, 1.0, pts), 0.0, lam_hi))
-        if w_u > 0:
-            u_w = np.unique(np.clip(best["u"] + w_u * np.linspace(-1.0, 1.0, pts), 0.0, 1.0))
-        else:
-            u_w = np.array([best["u"]])
-        consider(lam_w, *band(lam_w), u_w)
-        rounds_used += 1
-        round_profits.append(best["profit"])
-        w_lam *= _REFINE_SHRINK
-        w_u *= _REFINE_SHRINK
-
-    return {
-        "lam": best["lam"],
-        "l": best["l"],
-        "profit": best["profit"],
-        "found": np.isfinite(best["profit"]),
-        "evaluations": evals,
-        "refine_rounds": rounds_used,
-        "round_profits": round_profits,
-    }
+    history, found = np.array(history), np.isfinite(best)
+    return [{"lam": float(at_lam[i]), "l": float(at_l[i]), "profit": float(best[i]),
+             "found": bool(found[i]), "evaluations": int(evals[i]),
+             "refine_rounds": _ORACLE_ROUNDS if found[i] else 0,
+             "round_profits": history[:, i] if found[i] else []} for i in range(n)]
 
 
-def _zoom(evaluate, lam_hi):
+def _distinct(x):
+    """The number of distinct values in each row of x, whose rows are sorted."""
+    return 1 + np.count_nonzero(np.diff(x, axis=1), axis=1)
+
+
+def _zoom(evaluate, lam_hi, rounds=_ZOOM_ROUNDS, shrink=_ZOOM_SHRINK):
     """Maximize a profit over lam in [0, lam_hi] with the quote pinned per lam.
 
     evaluate(lam) returns (quote, profit, penalty) for a vector of rates:
     profit is -inf where infeasible, and penalty marks quotes above the
     service-level minimum.  A coarse scan of _COARSE_POINTS intervals
-    exposes a second peak; then each of _ZOOM_ROUNDS rounds spans the
-    incumbent's window of half-width w (first the coarse step) with
-    2/_ZOOM_SHRINK + 1 points and shrinks w by _ZOOM_SHRINK.  Every
-    round runs, as in _search.
+    exposes a second peak; then each of the rounds spans the incumbent's
+    window of half-width w (first the coarse step) with 2/shrink + 1
+    points and shrinks w by shrink.  Every round runs, as in _search.
+    The finite-buffer solver runs the defaults, 4 rounds of 129 points;
+    the accept-all baseline runs _REFINE_ROUNDS rounds of 9 points.
     """
     step = lam_hi / _COARSE_POINTS if lam_hi > 0 else 1.0
-    offsets = np.linspace(-1.0, 1.0, int(round(2.0 / _ZOOM_SHRINK)) + 1)
+    offsets = np.linspace(-1.0, 1.0, int(round(2.0 / shrink)) + 1)
     evals = 0
     best = {"profit": -np.inf, "lam": 0.0, "l": 0.0, "penalty": False}
 
@@ -199,24 +197,18 @@ def _zoom(evaluate, lam_hi):
     consider(_axis(0.0, lam_hi, step))
     round_profits = [best["profit"]]
     rounds_used = 0
-    for _ in range(_ZOOM_ROUNDS):
+    for _ in range(rounds):
         if not np.isfinite(best["profit"]):
             break
         consider(np.unique(np.clip(best["lam"] + step * offsets, 0.0, lam_hi)))
         rounds_used += 1
         round_profits.append(best["profit"])
-        step *= _ZOOM_SHRINK
+        step *= shrink
 
-    return {
-        "lam": best["lam"],
-        "l": best["l"],
-        "profit": best["profit"],
-        "found": np.isfinite(best["profit"]),
-        "branch": PENALTY_BINDING if best["penalty"] else SERVICE_BINDING,
-        "evaluations": evals,
-        "refine_rounds": rounds_used,
-        "round_profits": round_profits,
-    }
+    return {"lam": best["lam"], "l": best["l"], "profit": best["profit"],
+            "found": np.isfinite(best["profit"]),
+            "branch": PENALTY_BINDING if best["penalty"] else SERVICE_BINDING,
+            "evaluations": evals, "refine_rounds": rounds_used, "round_profits": round_profits}
 
 
 def min_leadtime_for_service(lam, params: MarketParams, tol: float = QUOTE_TOL,
@@ -343,12 +335,10 @@ def _mm1k_value(lam, L, ontime, leff, ls, params: MarketParams):
     return np.where(ok, _mm1k_rate(leff, ls, p, ontime, params), -np.inf)
 
 
-def _mm1k_objective(params: MarketParams):
-    def objective(lam, L):
-        ontime = mm1k_ontime_prob(lam, params.mu, params.K, L)
-        return _mm1k_value(lam, L, ontime, *_mm1k_load(lam, params), params)
-
-    return objective
+def _mm1k_objective(lam, L, params: MarketParams):
+    """The finite-buffer profit at arrival rates lam and quotes L."""
+    ontime = mm1k_ontime_prob(lam, params.mu, params.K, L)
+    return _mm1k_value(lam, L, ontime, *_mm1k_load(lam, params), params)
 
 
 def mm1k_profit(policy: Policy, params: MarketParams) -> float:
@@ -376,14 +366,11 @@ def _mm1_rate(lam, p, l, params: MarketParams):
             - params.c * lam * np.exp(-slack * l) / slack)
 
 
-def _mm1_objective(params: MarketParams):
-    a, b1, b2 = params.a, params.b1, params.b2
-
-    def objective(lam, L):
-        p = (a - b2 * L - lam) / b1
-        return np.where(p >= -PRICE_SLACK, _mm1_rate(lam, p, L, params), -np.inf)
-
-    return objective
+def _mm1_objective(lam, L, params: MarketParams):
+    """The accept-all profit at arrival rates lam and quotes L, -inf where
+    the price is negative."""
+    p = (params.a - params.b2 * L - lam) / params.b1
+    return np.where(p >= -PRICE_SLACK, _mm1_rate(lam, p, L, params), -np.inf)
 
 
 def _numeric_solution(params: MarketParams, result: dict, extra: dict) -> Solution:
@@ -547,8 +534,9 @@ def solve_mm1_baseline(params: MarketParams, costs_on: bool) -> Solution:
     """Optimal policy of the accept-all M/M/1 benchmark by a search over lambda.
 
     The quote at each lambda is pinned at ln(x)/(mu - lambda) (see
-    closed_form.quote_level), so the grid search runs on a zero-width band,
-    a stability margin away from lambda = mu.  Costs off means F = c = 0.
+    closed_form.quote_level), so _zoom searches lambda alone, a stability
+    margin away from lambda = mu, in _REFINE_ROUNDS rounds of 9 points.
+    Costs off means F = c = 0.
     """
     if not costs_on:
         params = params.with_updates(F=0.0, c=0.0)
@@ -562,76 +550,82 @@ def solve_mm1_baseline(params: MarketParams, costs_on: bool) -> Solution:
                                           "round_profits": []}, extra)
     log_x = quote_level(params)[0]
 
-    def band(lam):
+    def evaluate(lam):
         quote = log_x / (mu - lam)
-        return quote, quote
+        return quote, _mm1_objective(lam, quote, params), np.zeros(lam.shape, dtype=bool)
 
-    result = _search(_mm1_objective(params), lam_hi, band)
+    result = _zoom(evaluate, lam_hi, rounds=_REFINE_ROUNDS, shrink=_REFINE_SHRINK)
     return _numeric_solution(params, result, extra)
 
 
-def _oracle_band(params: MarketParams, model: str):
-    """The oracle's search box for one model: the top of its lambda range
-    and its full quote band.  lo is the service-level minimum and hi the
-    zero-price bound, or the penalty-elimination cap when b2 = 0 (profit
-    never falls in l there).  lambda stops at _zero_margin_rate: capping
-    the range there, from market fields alone, lets the coarse grid see
-    thin regions of positive profit."""
+def _oracle_band(lam, params, model: str):
+    """The oracle's full quote band (lo, hi) at arrival rates lam for one
+    model.  lo is the service-level minimum and hi the zero-price bound,
+    or the penalty-elimination cap when b2 = 0 (profit never falls in l
+    there).  params is one market or, for "mm11" and "mm1", a stack whose
+    fields are columns that broadcast against lam."""
     a, b2, mu, z = params.a, params.b2, params.mu, params.z
-    lam_hi = _zero_margin_rate(params)
-    if model == "mm1":
-        lam_hi = min(lam_hi, mu - STABILITY_MARGIN)
-
-    def band(lam):
-        lam = np.asarray(lam, dtype=float)
-        if model == "mm1k":
-            lo, rate = np.atleast_1d(min_leadtime_for_service(lam, params)), mu
-        elif model == "mm11":
-            lo, rate = np.full_like(lam, z / mu), mu
-        else:
-            lo, rate = z / (mu - lam), mu - lam
-        if b2 > 0:
-            return lo, np.maximum((a - lam) / b2, lo)
-        return lo, _leadtime_cap(lo, rate)
-
-    return lam_hi, band
+    if model == "mm1k":
+        lo, rate = min_leadtime_for_service(lam.ravel(), params).reshape(lam.shape), mu
+    elif model == "mm11":
+        lo, rate = np.full_like(lam, z / mu), mu
+    else:
+        lo, rate = z / (mu - lam), mu - lam
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return lo, np.where(b2 > 0, np.maximum((a - lam) / b2, lo), _leadtime_cap(lo, rate))
 
 
-def brute_force_oracle(params: MarketParams, model: str, resolution: int = 160) -> Solution:
-    """Dense two-phase grid search used to certify the closed-form solvers.
+def _mm11_objective(lam, L, params):
+    """The single-slot profit, written out independently of the closed-form
+    module so that agreement is evidence rather than tautology."""
+    a, b1, b2, m, mu, F, c = params.a, params.b1, params.b2, params.m, params.mu, params.F, params.c
+    p = (a - b2 * L - lam) / b1
+    profit = lam * (mu * (p - m) - F - c * np.exp(-mu * L)) / (mu + lam)
+    return np.where(p >= -PRICE_SLACK, profit, -np.inf)
 
-    The single-slot objective is written out inline here, independently of
-    the closed-form module, so agreement is evidence rather than tautology.
-    model picks the system: "mm11" single-slot, "mm1" accept-all benchmark
-    or "mm1k" general finite buffer, each with the holding and lateness
-    costs of params (pass F = c = 0 for the cost-free problem).  The
-    search covers the full quote band of _oracle_band, with coarse
-    steps of span/(resolution - 1) and a fixed 10-round refinement, so the
-    oracle's accuracy is a function of resolution alone.
-    """
+
+def brute_force_oracles(markets, model: str, resolution: int = 160) -> list:
+    """brute_force_oracle for each of a list of markets, searched as one
+    stack (see _search), with the same answers bit for bit.  The service
+    search takes one K, so "mm1k" markets are searched one by one."""
+    markets = list(markets)
     if model not in ORACLE_MODELS:
         raise ValueError(f"unknown oracle model {model!r}; pick one of {ORACLE_MODELS}")
     if resolution < 100:
         raise ValueError("oracle resolution must be at least 100")
-    if model == "mm11" and params.K != 1:
+    if model == "mm11" and any(p.K != 1 for p in markets):
         raise ValueError("single-slot oracle needs K = 1")
-    a, b1, b2, m, mu, F, c = params.a, params.b1, params.b2, params.m, params.mu, params.F, params.c
+    if model == "mm1k" and len(markets) > 1:
+        return [sol for p in markets for sol in brute_force_oracles([p], model, resolution)]
+    columns = {f: np.array([getattr(p, f) for p in markets]) for f in "a b1 b2 m mu F c z".split()}
 
-    if model == "mm1k":
-        objective = _mm1k_objective(params)
-    elif model == "mm11":
-        def objective(lam, L):
-            p = (a - b2 * L - lam) / b1
-            profit = lam * (mu * (p - m) - F - c * np.exp(-mu * L)) / (mu + lam)
-            return np.where(p >= -PRICE_SLACK, profit, -np.inf)
-    else:
-        objective = _mm1_objective(params)
-    lam_hi, band = _oracle_band(params, model)
+    def view(rows):
+        # A market itself for its coarse scan (and for an mm1k round, whose
+        # stack is that one market); else the columns of the round's rows.
+        if np.ndim(rows) == 0 or model == "mm1k":
+            return markets[np.ravel(rows)[0]]
+        return SimpleNamespace(**{f: col[rows, None, None] for f, col in columns.items()})
 
-    # Coarse l step: span of the widest band divided by the resolution.
-    probe_lo, probe_hi = band(np.linspace(0.0, lam_hi, 32))
-    widest = float(np.max(np.maximum(probe_hi - probe_lo, 0.0)))
-    result = _search(objective, lam_hi, band, rounds=10,
-                     step_lam=lam_hi / (resolution - 1) if lam_hi > 0 else 1.0,
-                     step_l=widest / (resolution - 1) if widest > 0 else None)
-    return _numeric_solution(params, result, {"model": model, "resolution": resolution})
+    objective = {"mm11": _mm11_objective, "mm1": _mm1_objective, "mm1k": _mm1k_objective}[model]
+    lam_hi = np.array([_zero_margin_rate(p) for p in markets])
+    if model == "mm1":
+        lam_hi = np.minimum(lam_hi, columns["mu"] - STABILITY_MARGIN)
+    results = _search(lambda lam, L, rows: objective(lam, L, view(rows)),
+                      lambda lam, rows: _oracle_band(lam, view(rows), model),
+                      lam_hi, resolution)
+    return [_numeric_solution(p, result, {"model": model, "resolution": resolution})
+            for p, result in zip(markets, results)]
+
+
+def brute_force_oracle(params: MarketParams, model: str, resolution: int = 160) -> Solution:
+    """Dense two-phase grid search (_search) used to certify the solvers.
+
+    model picks the system: "mm11" single-slot, "mm1" accept-all benchmark
+    or "mm1k" general finite buffer, with the costs of params (F = c = 0
+    for the cost-free problem).  It covers the full band of _oracle_band,
+    with lambda up to _zero_margin_rate (a stability margin below mu for
+    "mm1"): a cap from market fields alone, which lets the coarse grid see
+    thin regions of positive profit.  Its accuracy is a function of
+    resolution alone.  The one-market case of brute_force_oracles.
+    """
+    return brute_force_oracles([params], model, resolution)[0]

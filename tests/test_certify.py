@@ -83,3 +83,14 @@ def test_costed_oracle_sees_thin_profit_regions(seed):
     # the oracle finds that at the default resolution and tolerance.
     result = check_closed_form_against_oracle(True, seed=seed)
     assert result.ok, result.detail
+
+
+def test_costed_oracle_check_passes_over_a_seed_sweep():
+    # The lambda cap must hold beyond the pinned seeds above: 60 seeds of
+    # 25 costed markets each, at the default resolution and tolerance.
+    failed = {}
+    for seed in range(1, 61):
+        result = check_closed_form_against_oracle(True, n=25, seed=seed)
+        if not result.ok:
+            failed[seed] = result.detail
+    assert not failed, failed

@@ -14,6 +14,7 @@ from leadquote import (
     MarketParams,
     Policy,
     brute_force_oracle,
+    brute_force_oracles,
     min_leadtime_for_service,
     mm1_profit,
     mm1k_blocking,
@@ -217,9 +218,8 @@ def test_no_quote_earns_a_profit_above_the_zero_margin_rate(seed, K, zeroed, abo
     params = random_params(np.random.default_rng(seed), costs_on=True)
     params = params.with_updates(K=K, **dict.fromkeys(zeroed, 0.0))
     cap = numeric._zero_margin_rate(params)
-    _, band = numeric._oracle_band(params, "mm1k")
     lam = cap + (params.a - cap) * np.array(above)
-    lo, hi = band(lam)
+    lo, hi = numeric._oracle_band(lam, params, "mm1k")
     for rate, l_lo, l_hi in zip(lam, lo, hi):
         for l in np.linspace(l_lo, max(l_hi, l_lo), 9):
             policy = Policy(p=(params.a - params.b2 * l - rate) / params.b1, l=float(l), lam=float(rate))
@@ -404,6 +404,60 @@ def test_oracle_guards():
         brute_force_oracle(BASE, "not-a-model")
     with pytest.raises(ValueError):
         brute_force_oracle(BASE.with_updates(K=4), "mm11")
+
+
+def test_baseline_diagnostics_are_pinned():
+    # 401 coarse rates plus 12 rounds of 9; the bench reads these keys
+    for costs_on, profit in ((True, 0.32075846873317126), (False, 0.5980799096525231)):
+        sol = solve_mm1_baseline(BASE, costs_on=costs_on)
+        assert sol.profit == profit
+        assert sol.diagnostics["evaluations"] == 509
+        assert sol.diagnostics["refine_rounds"] == 12
+        assert len(sol.diagnostics["round_profits"]) == 13
+
+
+@pytest.mark.parametrize("model, profit", [("mm11", 0.49385522972485923),
+                                           ("mm1", 0.32075846873317115)])
+def test_oracle_diagnostics_are_pinned(model, profit):
+    sol = brute_force_oracle(BASE, model)
+    assert sol.profit == profit
+    assert sol.diagnostics["evaluations"] == 26050
+    assert sol.diagnostics["refine_rounds"] == 10
+    assert len(sol.diagnostics["round_profits"]) == 11
+
+
+# A draw of the costless oracle check whose coarse lambda axis has 161
+# points, one more than the resolution, since cap/(cap/159) rounds up.
+WIDE_AXIS = MarketParams(a=51.079466418997846, b1=6.702225199424642, b2=17.785865331114753,
+                         mu=16.850435125267275, m=3.9687929572493177, s=0.9318542166952417,
+                         F=0.0, c=0.0, K=1)
+
+
+@pytest.mark.parametrize("model", ["mm11", "mm1"])
+def test_batched_oracle_equals_one_search_per_market(model):
+    rng = np.random.default_rng(4)
+    markets = [random_params(rng, costs_on=True) for _ in range(5)] + [
+        BASE,
+        BASE.with_updates(a=1.0),  # zero-margin rate 0: nothing is found
+        BASE.with_updates(b2=0.0),
+        BASE.with_updates(c=0.0),
+        WIDE_AXIS,
+    ]
+    cap = numeric._zero_margin_rate(WIDE_AXIS)
+    assert len(numeric._axis(0.0, cap, cap / 159)) == 161
+    batched = brute_force_oracles(markets, model)
+    assert batched == [brute_force_oracle(p, model) for p in markets]
+    assert not batched[6].feasible and batched[6].diagnostics["refine_rounds"] == 0
+    assert all(sol.diagnostics["refine_rounds"] == 10 for sol in batched if sol.feasible)
+
+
+def test_batched_oracle_takes_a_lone_finite_buffer_market():
+    # The service search takes one K, so an mm1k market is its own stack;
+    # its answer is pinned to the one-market search it replaced.
+    (sol,) = brute_force_oracles([BASE.with_updates(K=3)], "mm1k")
+    assert sol.profit == 0.32403991905975865
+    assert sol.diagnostics["evaluations"] == 26050
+    assert sol.diagnostics["refine_rounds"] == 10
 
 
 def test_oracle_agrees_with_closed_form():
