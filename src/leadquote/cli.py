@@ -249,7 +249,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
     if policy is None:
         solved = _solve(args, params)
         doc["solution"] = solved.to_dict()
-        if not solved.feasible or solved.policy.lam <= 0:
+        if not solved.feasible:
             doc["error"] = "instance infeasible; nothing to simulate"
             _write(args.out, _dump(doc, args))
             return EXIT_INFEASIBLE

@@ -14,7 +14,10 @@ costed one at F = c = 0, where the service level binds: l* = z/mu with
 z = ln(1/(1-s)).
 
 Then lambda* = -mu + sqrt(mu^2 + R) for the margin term R, and the price
-rides the binding demand constraint.
+rides the binding demand constraint.  R <= 0 puts lambda* at 0, and a
+solve that sells nothing at a positive profit is infeasible: _sale holds
+that rule for every solver in the package, and its null policy is
+_infeasible's.
 """
 
 from __future__ import annotations
@@ -22,12 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .market import (
-    MarketParams,
-    Policy,
-    feasible_with_costs,
-    inverse_price,
-)
+from .market import MarketParams, Policy, inverse_price
 
 SERVICE_BINDING = "service-binding"
 PENALTY_BINDING = "penalty-binding"
@@ -92,6 +90,20 @@ def _infeasible(params: MarketParams, diagnostics: dict) -> Solution:
         branch=SERVICE_BINDING,
         diagnostics=diagnostics,
     )
+
+
+def _sale(params: MarketParams, lam: float, l: float, diagnostics: dict, complete) -> Solution:
+    """The one feasibility rule of every solver: a solve is feasible only
+    when it sells (lam > 0) at a positive profit, else it is _infeasible's
+    null policy with diagnostics.  complete(policy) returns the profit,
+    attained level, branch and diagnostics of the policy that sells lam at
+    quote l; it runs only when lam > 0."""
+    if lam > 0.0:
+        policy = Policy(p=inverse_price(lam, l, params), l=l, lam=lam)
+        profit, attained, branch, sold = complete(policy)
+        if profit > 0.0:
+            return Solution(policy, profit, True, attained, branch, sold)
+    return _infeasible(params, diagnostics)
 
 
 def mm11_profit(policy: Policy, params: MarketParams) -> float:
@@ -167,21 +179,9 @@ def solve_mm11_with_costs(params: MarketParams) -> Solution:
     elif branch == PENALTY_BINDING:
         attained = 1.0 - math.exp(-mu * l_star)
 
-    if not feasible_with_costs(params, l_star):
-        return _infeasible(params, diagnostics)
-
     penalty_residual = c * math.exp(-mu * l_star)
     radicand = mu * mu + a * mu - mu * b2 * l_star - mu * b1 * m - F * b1 - b1 * penalty_residual
-    diagnostics["discriminant"] = radicand
-    if radicand < 0:
-        raise ArithmeticError(f"negative discriminant {radicand} on a feasible instance")
-    lam_star = max(-mu + math.sqrt(radicand), 0.0)
-    policy = Policy(p=inverse_price(lam_star, l_star, params), l=l_star, lam=lam_star)
-    return Solution(
-        policy=policy,
-        profit=mm11_profit(policy, params) if lam_star > 0 else 0.0,
-        feasible=True,
-        service_level_attained=attained,
-        branch=branch,
-        diagnostics=diagnostics,
-    )
+    # The best rate is sqrt(radicand) - mu where that is positive, else 0.
+    lam_star = -mu + math.sqrt(radicand) if radicand > mu * mu else 0.0
+    return _sale(params, lam_star, l_star, diagnostics, lambda policy: (
+        mm11_profit(policy, params), attained, branch, {**diagnostics, "discriminant": radicand}))

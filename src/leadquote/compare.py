@@ -28,7 +28,8 @@ class GainTable:
     """Grid of relative gains plus the per-cell solutions behind them.
 
     gains[i][j] corresponds to (b2_values[i], a_values[j]); None marks a
-    cell where either side was infeasible or the benchmark made no profit.
+    cell where either side was infeasible: it sold nothing at a positive
+    profit.
     """
 
     a_values: list
@@ -105,7 +106,7 @@ def sweep(base: MarketParams, a_values, b2_values, costs_on: bool, jobs: int = 1
             params = base.with_updates(a=a, b2=b2)
             rej = solve_mm11_with_costs(params) if costs_on else solve_mm11_no_costs(params)
             acc = solve_mm1_baseline(params, costs_on=costs_on)
-            if rej.feasible and acc.feasible and acc.profit > 0:
+            if rej.feasible and acc.feasible:
                 g_row.append(relative_gain(rej.profit, acc.profit))
             else:
                 g_row.append(None)

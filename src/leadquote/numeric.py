@@ -49,10 +49,10 @@ from .closed_form import (
     PENALTY_ELIMINATION,
     SERVICE_BINDING,
     Solution,
-    _infeasible,
+    _sale,
     quote_level,
 )
-from .market import MarketParams, Policy, inverse_price
+from .market import MarketParams, Policy
 from .queueing import (
     erlang_quantile_bracket,
     mm1_ontime_prob,
@@ -158,7 +158,7 @@ def _search(objective, band, lam_hi, resolution):
 
     history, found = np.array(history), np.isfinite(best)
     return [{"lam": float(at_lam[i]), "l": float(at_l[i]), "profit": float(best[i]),
-             "found": bool(found[i]), "evaluations": int(evals[i]),
+             "evaluations": int(evals[i]),
              "refine_rounds": _ORACLE_ROUNDS if found[i] else 0,
              "round_profits": history[:, i] if found[i] else []} for i in range(n)]
 
@@ -206,13 +206,11 @@ def _zoom(evaluate, lam_hi, rounds=_ZOOM_ROUNDS, shrink=_ZOOM_SHRINK):
         step *= shrink
 
     return {"lam": best["lam"], "l": best["l"], "profit": best["profit"],
-            "found": np.isfinite(best["profit"]),
             "branch": PENALTY_BINDING if best["penalty"] else SERVICE_BINDING,
             "evaluations": evals, "refine_rounds": rounds_used, "round_profits": round_profits}
 
 
-def min_leadtime_for_service(lam, params: MarketParams, tol: float = QUOTE_TOL,
-                             log_density: bool = False):
+def min_leadtime_for_service(lam, params: MarketParams, log_density: bool = False):
     """Smallest quote meeting the service level at arrival rate lam.
 
     Safeguarded Newton iteration on P(W <= l) = s, vectorized over lam.
@@ -223,18 +221,18 @@ def min_leadtime_for_service(lam, params: MarketParams, tol: float = QUOTE_TOL,
     root from there.  A step that leaves the bracket becomes a bisection.
     By that concavity a Newton iterate never lands left of the root, and
     its distance past it is about |(slope + g/late)/2| d^2 for a step d,
-    with slope = d log g / dl.  Where that is at most tol/4 and the
-    iterate lies in the bracket, the next call takes a point tol/20 right
-    of it (clear of rounding in P, and at most hi) together with one
-    0.9 tol left of that, and the two close the bracket at once.  Stops
-    when the bracket is at most tol wide and returns its feasible end.
-    Returns 0 when s = 0.
+    with slope = d log g / dl.  Where that is at most tol/4, tol =
+    QUOTE_TOL, and the iterate lies in the bracket, the next call takes a
+    point tol/20 right of it (clear of rounding in P, and at most hi)
+    with one 0.9 tol left of that, and the two close the bracket at once.
+    Stops when the bracket is at most tol wide and returns its feasible
+    end.  Returns 0 when s = 0.
 
     With log_density=True the call returns (quote, P, log g, slope), the
     kernel's values at the quote (mm1k_ontime_prob with log_density), so
     a caller that needs them there makes no call of its own.
     """
-    mu, K, s = params.mu, params.K, params.s
+    mu, K, s, tol = params.mu, params.K, params.s, QUOTE_TOL
     scalar = np.isscalar(lam)
     arr = np.atleast_1d(np.asarray(lam, dtype=float))
 
@@ -374,31 +372,26 @@ def _mm1_objective(lam, L, params: MarketParams):
 
 
 def _numeric_solution(params: MarketParams, result: dict, extra: dict) -> Solution:
+    """A search's result under closed_form._sale's rule, with its counters."""
     diagnostics = {"z": params.z, **extra,
                    "evaluations": result["evaluations"],
                    "refine_rounds": result["refine_rounds"],
                    "round_profits": [float(v) for v in result["round_profits"] if np.isfinite(v)]}
-    if not result["found"] or result["profit"] < 0.0:
-        return _infeasible(params, diagnostics)
-    lam, l = result["lam"], result["l"]
-    p = inverse_price(lam, l, params)
-    if extra.get("model") == "mm1":
-        attained = mm1_ontime_prob(lam, params.mu, l)
-        branch = quote_level(params)[1]
-    else:
-        attained = mm1k_ontime_prob(lam, params.mu, params.K, l)
-        # The finite-buffer solver knows which end it quoted; the oracle,
-        # which searches the full band, reads it off the attained level.
-        branch = result.get("branch") or (
-            SERVICE_BINDING if attained <= params.s + 1e-6 else PENALTY_BINDING)
-    return Solution(
-        policy=Policy(p=p, l=l, lam=lam),
-        profit=result["profit"],
-        feasible=True,
-        service_level_attained=float(attained),
-        branch=branch,
-        diagnostics=diagnostics,
-    )
+
+    def complete(policy):
+        lam, l = policy.lam, policy.l
+        if extra.get("model") == "mm1":
+            attained = mm1_ontime_prob(lam, params.mu, l)
+            branch = quote_level(params)[1]
+        else:
+            attained = mm1k_ontime_prob(lam, params.mu, params.K, l)
+            # The finite-buffer solver knows which end it quoted; the oracle,
+            # which searches the full band, reads it off the attained level.
+            branch = result.get("branch") or (
+                SERVICE_BINDING if attained <= params.s + 1e-6 else PENALTY_BINDING)
+        return result["profit"], float(attained), branch, diagnostics
+
+    return _sale(params, result["lam"], result["l"], diagnostics, complete)
 
 
 def pinned_quote(lam, params: MarketParams):
@@ -509,10 +502,10 @@ def solve_mm1k_numeric(params: MarketParams) -> Solution:
     """Optimal policy of the finite-buffer system by a search over lambda.
 
     The quote at each lambda is pinned by pinned_quote, and _zoom searches
-    lambda alone, up to _zero_margin_rate.  Declared infeasible when no
-    rate attains nonnegative price, the service level, and nonnegative
-    profit.  The branch is service-binding where the quote is the
-    service-level minimum and penalty-binding where it is above.
+    lambda alone, up to _zero_margin_rate.  Feasible only when it sells
+    (lambda > 0) at a positive profit with a nonnegative price and the
+    service level met.  The branch is service-binding where the quote is
+    the service-level minimum and penalty-binding where it is above.
     """
     result = _zoom(lambda lam: _pinned(lam, params), _zero_margin_rate(params))
     return _numeric_solution(params, result, {"model": "mm1k", "K": params.K})
@@ -544,8 +537,7 @@ def solve_mm1_baseline(params: MarketParams, costs_on: bool) -> Solution:
     lam_hi = min(params.a, mu - STABILITY_MARGIN)
     extra = {"model": "mm1", "costs_on": costs_on}
     if lam_hi <= 0:
-        return _numeric_solution(params, {"found": False, "profit": -np.inf,
-                                          "lam": 0.0, "l": params.z / mu,
+        return _numeric_solution(params, {"profit": -np.inf, "lam": 0.0, "l": params.z / mu,
                                           "evaluations": 0, "refine_rounds": 0,
                                           "round_profits": []}, extra)
     log_x = quote_level(params)[0]

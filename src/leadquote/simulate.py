@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 from itertools import chain, count
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .market import MarketParams, Policy
 from .numeric import mm1k_profit
@@ -136,7 +136,7 @@ def _drain(policy: Policy, params: MarketParams, horizon: float, seed: int):
 
 def _batch_ci(values: np.ndarray) -> float:
     spread = float(np.std(values, ddof=1))
-    tcrit = float(stats.t.ppf(0.975, len(values) - 1))
+    tcrit = float(stdtrit(len(values) - 1, 0.975))
     return float(tcrit * spread / math.sqrt(len(values)))
 
 
@@ -253,7 +253,7 @@ def validate(report: SimReport, params: MarketParams, policy: Policy) -> Validat
     of its analytic value.
     """
     lam, mu, K, l = policy.lam, params.mu, params.K, policy.l
-    tcrit = float(stats.t.ppf(0.975, N_BATCHES - 1))
+    tcrit = float(stdtrit(N_BATCHES - 1, 0.975))
     analytic = {
         "block_prob": (report.block_prob, mm1k_blocking(lam, mu, K)),
         "mean_number": (report.mean_number, mm1k_mean_number(lam, mu, K)),

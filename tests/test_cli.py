@@ -136,6 +136,16 @@ def test_infeasible_instance_exit_code(capsys):
     assert doc["solution"]["feasible"] is False
 
 
+@pytest.mark.parametrize("model", ["mm11", "mm1", "mm1k"])
+def test_a_market_that_sells_nothing_is_infeasible_under_every_model(capsys, model):
+    # At a = 20 the best rate of every model is 0, and a solve that sells
+    # nothing at a positive profit exits as infeasible
+    code, doc = run_json(capsys, ["solve", "--model", model, "--a", "20", "--no-timestamp"])
+    assert code == EXIT_INFEASIBLE
+    assert doc["solution"]["feasible"] is False
+    assert doc["solution"]["policy"]["lambda"] == 0.0
+
+
 def test_no_timestamp_reruns_are_byte_identical(capsys):
     main(["solve", "--no-timestamp"])
     first = capsys.readouterr().out
@@ -217,9 +227,11 @@ def test_simulate_solves_when_policy_absent(capsys):
 
 
 def test_simulate_infeasible_instance(capsys):
-    code, doc = run_json(capsys, ["simulate", "--m", "7.5", "--no-timestamp"])
-    assert code == EXIT_INFEASIBLE
-    assert "error" in doc
+    # a = 20 sells nothing under the finite-buffer solver, as m = 7.5 under mm11
+    for argv in (["--m", "7.5"], ["--model", "mm1k", "--a", "20"]):
+        code, doc = run_json(capsys, ["simulate", *argv, "--no-timestamp"])
+        assert code == EXIT_INFEASIBLE
+        assert "error" in doc
 
 
 def test_simulate_rejects_bad_policy(capsys):

@@ -137,11 +137,12 @@ def test_infeasible_returns_null_policy():
     assert not sol_c.feasible and sol_c.profit == 0.0 and sol_c.policy.lam == 0.0
 
 
-def test_boundary_margin_is_feasible_with_zero_profit():
-    # m exactly at the break-even margin: lam* collapses to 0, profit to 0
+def test_break_even_margin_sells_nothing_so_is_infeasible():
+    # m exactly at the break-even margin: lam* collapses to 0, profit to 0,
+    # and a solve that sells nothing at a positive profit is infeasible
     m_star = (BASE.a * BASE.mu - BASE.b2 * BASE.z) / (BASE.mu * BASE.b1)
     sol = solve_mm11_no_costs(BASE.with_updates(m=m_star))
-    assert sol.feasible
+    assert not sol.feasible
     assert sol.policy.lam == pytest.approx(0.0, abs=1e-6)
     assert sol.profit == pytest.approx(0.0, abs=1e-6)
 

@@ -241,6 +241,7 @@ def test_finite_buffer_solve_matches_the_oracle(seed, K, zeroed):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), K=st.sampled_from([1, 1, 3, 12]),
        zeroed=st.sampled_from([(), (), ("b2",), ("c",), ("b2", "c")]))
+@example(seed=402, K=1, zeroed=("b2",))  # sells nothing: both K = 1 solvers are infeasible
 def test_finite_buffer_branch_names_the_quoted_end(seed, K, zeroed):
     params = random_params(np.random.default_rng(seed), costs_on=True)
     params = params.with_updates(K=K, **dict.fromkeys(zeroed, 0.0))
@@ -255,6 +256,31 @@ def test_finite_buffer_branch_names_the_quoted_end(seed, K, zeroed):
         assert not at_floor
     if K == 1:
         assert sol.branch == solve_mm11_with_costs(params).branch
+
+
+def _sells_or_is_null(sol, params):
+    if sol.feasible:
+        return sol.policy.lam > 0.0 and sol.profit > 0.0
+    return (sol.policy.to_dict() == {"p": params.m, "l": params.z / params.mu, "lambda": 0.0}
+            and sol.profit == 0.0 and sol.service_level_attained == params.s
+            and sol.branch == "service-binding")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), zeroed=st.sampled_from([None, None, "b2", "c", "s"]))
+@example(seed=402, zeroed="b2")
+def test_every_solver_is_feasible_only_when_it_sells_at_a_positive_profit(seed, zeroed):
+    params = random_params(np.random.default_rng(seed), costs_on=True)
+    if zeroed:
+        params = params.with_updates(**{zeroed: 0.0})
+    closed = solve_mm11_with_costs(params)
+    single = solve_mm1k_numeric(params)
+    assert closed.feasible == single.feasible
+    costless, three = params.with_updates(F=0.0, c=0.0), params.with_updates(K=3)
+    for sol, market in [(closed, params), (single, params), (solve_mm1k_numeric(three), three),
+                        (solve_mm1_baseline(params, costs_on=True), params),
+                        (solve_mm1_baseline(params, costs_on=False), costless)]:
+        assert _sells_or_is_null(sol, market)
 
 
 def test_single_slot_without_lead_time_pressure_or_penalty_quotes_the_floor():

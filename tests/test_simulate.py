@@ -381,13 +381,25 @@ print(small, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
+def _run_fresh(script: str) -> str:
+    """stdout of script in a fresh interpreter that imports this leadquote."""
+    src = str(Path(leadquote.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
 def test_peak_memory_does_not_grow_with_the_horizon():
     # A fresh process, so no earlier test sets the peak.  Holding every
     # arrival would cost about 45 bytes each, 45 MB here.
-    src = str(Path(leadquote.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    out = _run_fresh(_PEAK_RSS_SCRIPT)
     small_kb, large_kb = map(int, out.split())
     assert large_kb - small_kb < 10 * 1024
+
+
+def test_package_import_leaves_scipy_stats_out():
+    # scipy.stats takes about a second to import; the simulator's t
+    # quantile and the certify Erlang oracle use scipy.special instead
+    out = _run_fresh("import sys, leadquote, leadquote.cli; print('scipy.stats' in sys.modules)")
+    assert out.split() == ["False"]
