@@ -14,8 +14,6 @@ from .market import (
     MarketParams,
     Policy,
     expected_demand,
-    feasible_no_costs,
-    feasible_with_costs,
     inverse_price,
 )
 from .queueing import (
@@ -31,6 +29,8 @@ from .closed_form import (
     SERVICE_BINDING,
     Solution,
     critical_service_level,
+    feasible_no_costs,
+    feasible_with_costs,
     mm11_profit,
     solve_mm11_no_costs,
     solve_mm11_with_costs,
@@ -61,8 +61,6 @@ __all__ = [
     "MarketParams",
     "Policy",
     "expected_demand",
-    "feasible_no_costs",
-    "feasible_with_costs",
     "inverse_price",
     "mm1_ontime_prob",
     "mm1k_blocking",
@@ -74,6 +72,8 @@ __all__ = [
     "SERVICE_BINDING",
     "Solution",
     "critical_service_level",
+    "feasible_no_costs",
+    "feasible_with_costs",
     "mm11_profit",
     "solve_mm11_no_costs",
     "solve_mm11_with_costs",

@@ -20,11 +20,14 @@ from .closed_form import (
     PENALTY_BINDING,
     SERVICE_BINDING,
     critical_service_level,
+    feasible_no_costs,
+    feasible_with_costs,
     mm11_profit,
+    quote_level,
     solve_mm11_no_costs,
     solve_mm11_with_costs,
 )
-from .market import MarketParams, Policy, feasible_no_costs, feasible_with_costs
+from .market import MarketParams, Policy
 # bench/tracing.py wraps brute_force_oracle here by name; the checks call brute_force_oracles.
 from .numeric import brute_force_oracle, brute_force_oracles, mm1k_profit, solve_mm1k_numeric
 from .queueing import (
@@ -267,22 +270,26 @@ def check_numeric_matches_closed_form() -> PropertyResult:
 
 
 def check_feasibility_gates() -> PropertyResult:
-    """The public gates, which no solver calls, pass exactly where the
-    solves sell at a positive profit; a failed solve is the null policy."""
+    """The public gates, which no solver calls, return the closed-form
+    solves' feasible, and a failed solve is the null policy: on random draws
+    and on the default market at its break-even margin, costs off and on."""
     n = 200
     rng = np.random.default_rng(23)
+    base = MarketParams(a=30.0, b1=4.0, b2=20.0, mu=10.0, m=5.0, s=0.95, F=2.0, c=10.0)
+    # m at break-even, where _residual at lambda = 0 (the margin less m, over b1*mu) is 0
+    edges = [p.with_updates(m=_residual(p.with_updates(m=0.0), 0.0, quote_level(p)[0] / p.mu))
+             for p in (base.with_updates(F=0.0, c=0.0), base)]
     ok = True
-    for _ in range(n):
-        params = random_params(rng, costs_on=True)
-        sol = solve_mm11_no_costs(params)
-        ok = ok and (sol.feasible == feasible_no_costs(params))
+    for params in [random_params(rng, costs_on=True) for _ in range(n)] + edges:
+        ok = ok and solve_mm11_no_costs(params).feasible == feasible_no_costs(params)
         sol_c = solve_mm11_with_costs(params)
-        ok = ok and (sol_c.feasible == feasible_with_costs(params, sol_c.policy.l))
+        l_star = quote_level(params)[0] / params.mu
+        ok = ok and sol_c.feasible == feasible_with_costs(params, l_star)
         if not sol_c.feasible:
             ok = ok and sol_c.policy.lam == 0.0 and sol_c.profit == 0.0
     return PropertyResult(
         "feasibility-gates", ok,
-        f"gate/solver agreement over {n} random draws",
+        f"gate/solver agreement over {n} random draws and {len(edges)} break-even markets",
     )
 
 

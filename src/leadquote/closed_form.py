@@ -16,7 +16,7 @@ z = ln(1/(1-s)).
 Then lambda* = -mu + sqrt(mu^2 + R) for the margin term R, and the price
 rides the binding demand constraint.  R <= 0 puts lambda* at 0, and a
 solve that sells nothing at a positive profit is infeasible: _sale holds
-that rule for every solver in the package, and its null policy is
+that rule for every solver and feasibility gate, and its null policy is
 _infeasible's.
 """
 
@@ -159,12 +159,11 @@ def solve_mm11_no_costs(params: MarketParams) -> Solution:
 def solve_mm11_with_costs(params: MarketParams) -> Solution:
     """Optimal policy for the single-slot system with holding and lateness costs.
 
-    The quote is l* = ln(x)/mu from quote_level; then
+    The quote is l* = ln(x)/mu from quote_level, and _sale_at sells
     lambda* = -mu + sqrt(mu^2 + a*mu - mu*b2*l* - mu*b1*m - F*b1 - b1*c*exp(-mu*l*)).
     """
     _require_single_slot(params, "solve_mm11_with_costs")
-    a, b1, b2, mu, m = params.a, params.b1, params.b2, params.mu, params.m
-    F, c, s = params.F, params.c, params.s
+    b1, b2, mu, c, s = params.b1, params.b2, params.mu, params.c, params.s
     diagnostics = {"z": params.z}
 
     log_x, branch = quote_level(params)
@@ -179,9 +178,30 @@ def solve_mm11_with_costs(params: MarketParams) -> Solution:
     elif branch == PENALTY_BINDING:
         attained = 1.0 - math.exp(-mu * l_star)
 
-    penalty_residual = c * math.exp(-mu * l_star)
-    radicand = mu * mu + a * mu - mu * b2 * l_star - mu * b1 * m - F * b1 - b1 * penalty_residual
-    # The best rate is sqrt(radicand) - mu where that is positive, else 0.
-    lam_star = -mu + math.sqrt(radicand) if radicand > mu * mu else 0.0
-    return _sale(params, lam_star, l_star, diagnostics, lambda policy: (
+    return _sale_at(params, l_star, attained, branch, diagnostics)
+
+
+def _sale_at(params: MarketParams, l: float, attained, branch, diagnostics: dict) -> Solution:
+    """The closed form's best sale at quote l under _sale's rule: lambda =
+    -mu + sqrt(mu^2 + R) for the margin term R > 0, else 0.  attained, branch
+    and diagnostics describe the quote; the gates read only feasible."""
+    a, b1, b2, mu, m = params.a, params.b1, params.b2, params.mu, params.m
+    penalty_residual = params.c * math.exp(-mu * l)
+    radicand = mu * mu + a * mu - mu * b2 * l - mu * b1 * m - params.F * b1 - b1 * penalty_residual
+    lam = -mu + math.sqrt(radicand) if radicand > mu * mu else 0.0
+    return _sale(params, lam, l, diagnostics, lambda policy: (
         mm11_profit(policy, params), attained, branch, {**diagnostics, "discriminant": radicand}))
+
+
+def feasible_with_costs(params: MarketParams, l: float) -> bool:
+    """Whether the single-slot system sells at a positive profit at finite
+    quote l >= 0, by _sale_at's verdict: solve_mm11_with_costs's at l*."""
+    _require_single_slot(params, "the feasibility gate")
+    if not (math.isfinite(l) and l >= 0):
+        raise ValueError(f"quoted lead time l must be finite and >= 0, got {l}")
+    return _sale_at(params, l, params.s, SERVICE_BINDING, {}).feasible
+
+
+def feasible_no_costs(params: MarketParams) -> bool:
+    """feasible_with_costs at F = c = 0 and the service-level quote z/mu."""
+    return feasible_with_costs(params.with_updates(F=0.0, c=0.0), params.z / params.mu)

@@ -1,4 +1,4 @@
-"""Market primitives: parameter bundle, linear demand law, feasibility gates.
+"""Market primitives: parameter bundle and linear demand law.
 
 Demand is linear in price and quoted lead time, lambda = a - b1*p - b2*l,
 truncated at zero.  Throughout the package the demand constraint is taken
@@ -13,8 +13,14 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, replace
 
-# Slack for feasibility inequalities so boundary instances do not flap.
+# A price may undershoot zero by this much before it counts as negative.
 FEASIBILITY_SLACK = 1e-12
+
+
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value}")
 
 
 @dataclass(frozen=True)
@@ -119,53 +125,21 @@ class Policy:
 
 
 def expected_demand(p: float, l: float, params: MarketParams) -> float:
-    """Demand rate at price p and quote l, truncated at zero."""
+    """Demand rate at finite price p and quote l, truncated at zero."""
+    _require_finite(p=p, l=l)
     return max(0.0, params.a - params.b1 * p - params.b2 * l)
 
 
 def inverse_price(lam: float, l: float, params: MarketParams) -> float:
     """Price at which demand equals lam given quote l (demand constraint binding).
 
-    Raises ValueError if the implied price is negative beyond tolerance,
-    i.e. lam > a - b2*l.
+    Raises ValueError unless lam and l are finite, or if the implied price
+    is negative beyond tolerance, i.e. lam > a - b2*l.
     """
+    _require_finite(lam=lam, l=l)
     p = (params.a - params.b2 * l - lam) / params.b1
     if p < -FEASIBILITY_SLACK:
         raise ValueError(
             f"infeasible price: rate {lam} exceeds demand potential at quote {l}"
         )
     return max(p, 0.0)
-
-
-def feasible_no_costs(params: MarketParams) -> bool:
-    """Existence gate for the single-slot problem without congestion costs.
-
-    The best attainable margin price (a*mu - b2*z)/(mu*b1) must cover the
-    unit cost m.
-    """
-    z = params.z
-    best_price = (params.a * params.mu - params.b2 * z) / (params.mu * params.b1)
-    return best_price - params.m >= -FEASIBILITY_SLACK
-
-
-def feasible_with_costs(params: MarketParams, l: float) -> bool:
-    """Existence gate for the single-slot problem with costs, at quote l.
-
-    Two conditions: the zero-demand price at quote l covers m, and the
-    margin also covers holding plus residual lateness exposure.
-    """
-    if l < 0:
-        raise ValueError(f"quoted lead time must be >= 0, got {l}")
-    a, b1, b2, mu = params.a, params.b1, params.b2, params.mu
-    zero_demand_price = (a - b2 * l) / b1
-    margin = (
-        a * mu
-        - mu * b2 * l
-        - mu * params.m * b1
-        - params.F * b1
-        - params.c * b1 * math.exp(-mu * l)
-    )
-    return (
-        zero_demand_price - params.m >= -FEASIBILITY_SLACK
-        and margin >= -FEASIBILITY_SLACK
-    )

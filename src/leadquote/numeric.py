@@ -52,7 +52,7 @@ from .closed_form import (
     _sale,
     quote_level,
 )
-from .market import MarketParams, Policy
+from .market import FEASIBILITY_SLACK, MarketParams, Policy
 from .queueing import (
     erlang_quantile_bracket,
     mm1_ontime_prob,
@@ -61,11 +61,9 @@ from .queueing import (
     mm1k_ontime_prob,
 )
 
-# Mask tolerances used inside objectives: price may undershoot zero and the
-# on-time probability may undershoot s by this much before a grid point is
-# declared infeasible (the quote search stops within QUOTE_TOL of the
-# service bound).
-PRICE_SLACK = 1e-12
+# Inside objectives, price may undershoot zero by market.FEASIBILITY_SLACK,
+# and the on-time probability s by SERVICE_SLACK, before a grid point is
+# declared infeasible (the quote search stops within QUOTE_TOL of the service bound).
 SERVICE_SLACK = 1e-9
 
 # M/M/1 baselines never evaluate closer to instability than this.
@@ -329,7 +327,7 @@ def _mm1k_value(lam, L, ontime, leff, ls, params: MarketParams):
     probability there and _mm1k_load: the profit rate, -inf where the
     price or the service level fails."""
     p = (params.a - params.b2 * L - lam) / params.b1
-    ok = (p >= -PRICE_SLACK) & (ontime >= params.s - SERVICE_SLACK)
+    ok = (p >= -FEASIBILITY_SLACK) & (ontime >= params.s - SERVICE_SLACK)
     return np.where(ok, _mm1k_rate(leff, ls, p, ontime, params), -np.inf)
 
 
@@ -368,7 +366,7 @@ def _mm1_objective(lam, L, params: MarketParams):
     """The accept-all profit at arrival rates lam and quotes L, -inf where
     the price is negative."""
     p = (params.a - params.b2 * L - lam) / params.b1
-    return np.where(p >= -PRICE_SLACK, _mm1_rate(lam, p, L, params), -np.inf)
+    return np.where(p >= -FEASIBILITY_SLACK, _mm1_rate(lam, p, L, params), -np.inf)
 
 
 def _numeric_solution(params: MarketParams, result: dict, extra: dict) -> Solution:
@@ -573,7 +571,7 @@ def _mm11_objective(lam, L, params):
     a, b1, b2, m, mu, F, c = params.a, params.b1, params.b2, params.m, params.mu, params.F, params.c
     p = (a - b2 * L - lam) / b1
     profit = lam * (mu * (p - m) - F - c * np.exp(-mu * L)) / (mu + lam)
-    return np.where(p >= -PRICE_SLACK, profit, -np.inf)
+    return np.where(p >= -FEASIBILITY_SLACK, profit, -np.inf)
 
 
 def brute_force_oracles(markets, model: str, resolution: int = 160) -> list:

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from leadquote import (
     PENALTY_BINDING,
@@ -18,6 +20,8 @@ from leadquote import (
     Policy,
     Solution,
     critical_service_level,
+    feasible_no_costs,
+    feasible_with_costs,
     mm11_profit,
     solve_mm1_baseline,
     solve_mm1k_numeric,
@@ -26,6 +30,7 @@ from leadquote import (
     sweep,
 )
 from leadquote.certify import random_params
+from leadquote.closed_form import quote_level
 
 BASE = MarketParams(a=30.0, b1=4.0, b2=20.0, mu=10.0, m=5.0, s=0.95, F=2.0, c=10.0, K=1)
 
@@ -122,6 +127,10 @@ def test_requires_single_slot():
         solve_mm11_with_costs(params)
     with pytest.raises(ValueError):
         mm11_profit(Policy(p=6.0, l=0.3, lam=2.0), params)
+    with pytest.raises(ValueError, match="single-slot"):
+        feasible_no_costs(params)
+    with pytest.raises(ValueError, match="single-slot"):
+        feasible_with_costs(params, 0.3)
 
 
 def test_infeasible_returns_null_policy():
@@ -137,6 +146,14 @@ def test_infeasible_returns_null_policy():
     assert not sol_c.feasible and sol_c.profit == 0.0 and sol_c.policy.lam == 0.0
 
 
+def _break_even_margin(params: MarketParams) -> float:
+    # m at which the margin term a*mu - mu*b2*l - mu*b1*m - F*b1 - b1*c*e^(-mu*l)
+    # vanishes at the best quote l*
+    l = quote_level(params)[0] / params.mu
+    a, b1, b2, mu, F, c = params.a, params.b1, params.b2, params.mu, params.F, params.c
+    return (a * mu - mu * b2 * l - F * b1 - b1 * c * math.exp(-mu * l)) / (mu * b1)
+
+
 def test_break_even_margin_sells_nothing_so_is_infeasible():
     # m exactly at the break-even margin: lam* collapses to 0, profit to 0,
     # and a solve that sells nothing at a positive profit is infeasible
@@ -145,6 +162,26 @@ def test_break_even_margin_sells_nothing_so_is_infeasible():
     assert not sol.feasible
     assert sol.policy.lam == pytest.approx(0.0, abs=1e-6)
     assert sol.profit == pytest.approx(0.0, abs=1e-6)
+    # the costed break-even market, at m on the costed margin and quote l*
+    costed = BASE.with_updates(m=_break_even_margin(BASE))
+    l_star = quote_level(costed)[0] / costed.mu
+    sol_c = solve_mm11_with_costs(costed)
+    assert not sol_c.feasible and sol_c.policy.lam == 0.0 and sol_c.profit == 0.0
+    assert not feasible_with_costs(costed, l_star)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), costs_on=st.booleans(), ulps=st.integers(-8, 8))
+def test_gates_return_their_solves_verdict_next_to_break_even(seed, costs_on, ulps):
+    # within a few ulps of the break-even margin the rounding of the radicand
+    # decides, and the gates must decide it as the solves do
+    params = random_params(np.random.default_rng(seed), costs_on)
+    m_star = _break_even_margin(params)
+    assume(m_star > 0.0)
+    edge = params.with_updates(m=m_star + ulps * math.ulp(m_star))
+    l_star = quote_level(edge)[0] / edge.mu
+    assert feasible_with_costs(edge, l_star) == solve_mm11_with_costs(edge).feasible
+    assert feasible_no_costs(edge) == solve_mm11_no_costs(edge).feasible
 
 
 def test_zero_service_floor():

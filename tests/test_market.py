@@ -12,6 +12,7 @@ from leadquote import (
     feasible_no_costs,
     feasible_with_costs,
     inverse_price,
+    solve_mm11_no_costs,
 )
 
 BASE = MarketParams(a=30.0, b1=4.0, b2=20.0, mu=10.0, m=5.0, s=0.95, F=2.0, c=10.0, K=1)
@@ -46,6 +47,20 @@ def test_inverse_price_boundary_is_zero():
     l = 0.3
     lam = BASE.a - BASE.b2 * l
     assert inverse_price(lam, l, BASE) == 0.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name,call", [
+    ("p", lambda v: expected_demand(v, 0.3, BASE)),
+    ("l", lambda v: expected_demand(5.0, v, BASE)),
+    ("lam", lambda v: inverse_price(v, 0.3, BASE)),
+    ("l", lambda v: inverse_price(1.0, v, BASE)),
+    ("l", lambda v: feasible_with_costs(BASE, v)),
+], ids=["expected_demand-p", "expected_demand-l", "inverse_price-lam", "inverse_price-l",
+        "feasible_with_costs-l"])
+def test_demand_law_rejects_non_finite_inputs(name, call, value):
+    with pytest.raises(ValueError, match=rf"\b{name} must be"):
+        call(value)
 
 
 def test_z_is_log_reciprocal_tail():
@@ -116,8 +131,10 @@ def test_feasible_no_costs_base_case():
     best = (BASE.a * BASE.mu - BASE.b2 * BASE.z) / (BASE.mu * BASE.b1)
     assert best == pytest.approx(6.0021, abs=5e-5)
     assert not feasible_no_costs(BASE.with_updates(m=7.0))
-    # boundary: m exactly at the threshold stays feasible
-    assert feasible_no_costs(BASE.with_updates(m=best))
+    # boundary: m exactly at the threshold sells nothing, so the gate and
+    # the solve both call it infeasible
+    assert not feasible_no_costs(BASE.with_updates(m=best))
+    assert not solve_mm11_no_costs(BASE.with_updates(m=best)).feasible
 
 
 def test_feasible_with_costs_example_margin():
