@@ -23,6 +23,13 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be a finite number, got {value}")
 
 
+def _require_nonnegative(**values: float) -> None:
+    _require_finite(**values)
+    for name, value in values.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class MarketParams:
     """Exogenous constants of one problem instance.
@@ -125,18 +132,21 @@ class Policy:
 
 
 def expected_demand(p: float, l: float, params: MarketParams) -> float:
-    """Demand rate at finite price p and quote l, truncated at zero."""
-    _require_finite(p=p, l=l)
+    """Demand rate at price p and quote l, truncated at zero.  Raises
+    ValueError unless p and l are finite and nonnegative."""
+    _require_nonnegative(p=p, l=l)
     return max(0.0, params.a - params.b1 * p - params.b2 * l)
 
 
 def inverse_price(lam: float, l: float, params: MarketParams) -> float:
     """Price at which demand equals lam given quote l (demand constraint binding).
 
-    Raises ValueError unless lam and l are finite, or if the implied price
-    is negative beyond tolerance, i.e. lam > a - b2*l.
+    Raises ValueError unless lam is finite and l finite and nonnegative,
+    or if the implied price is negative beyond tolerance, i.e.
+    lam > a - b2*l.
     """
-    _require_finite(lam=lam, l=l)
+    _require_finite(lam=lam)
+    _require_nonnegative(l=l)
     p = (params.a - params.b2 * l - lam) / params.b1
     if p < -FEASIBILITY_SLACK:
         raise ValueError(

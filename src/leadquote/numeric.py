@@ -2,12 +2,11 @@
 baselines, and a brute-force oracle for certifying the closed forms.
 
 Both solvers pin the quote as a function of lambda and search lambda
-alone with _zoom: a coarse scan, then rounds around the incumbent.  The
-finite-buffer solver's cost is the number of sequential calls to the
-on-time kernel, each a few dozen numpy calls whose cost hardly grows with
-the number of points (or with K, since the kernel is closed form), so it
-runs a few wide rounds (which also beat golden-section or Brent steps,
-one sequential call each); the accept-all baseline runs many narrow ones.
+alone with _zoom, on one schedule: a coarse scan, then a few wide rounds
+around the incumbent.  A call's cost hardly grows with its number of
+points (the finite-buffer on-time kernel is a few dozen numpy calls,
+whatever K), so few wide rounds beat many narrow ones, and golden-section
+or Brent steps, one sequential call each.
 The oracle runs _search, a dense coarse grid followed by shrinking local
 refinements over lambda and u in [0, 1], which places the quote in a
 per-lambda band [lo, hi] and so keeps the search box rectangular.  It
@@ -27,7 +26,9 @@ per row once Newton's own error estimate allows it, and hands its kernel
 values at lo on to the profit at lo and the first Newton step toward r
 (_pinned), so neither costs a call.  Above a - b1 m - b2 z/mu
 (_zero_margin_rate) no quote that meets the service level earns a
-margin, so the lambda search stops there.  Only the oracle searches the
+margin, so the lambda search stops there, and for the accept-all model
+also a relative STABILITY_MARGIN below mu (_accept_all_cap), in the
+baseline and the oracle alike.  Only the oracle searches the
 full band (_oracle_band), up to the zero-price bound (or a
 penalty-elimination cap when demand ignores lead time).
 
@@ -66,22 +67,21 @@ from .queueing import (
 # declared infeasible (the quote search stops within QUOTE_TOL of the service bound).
 SERVICE_SLACK = 1e-9
 
-# M/M/1 baselines never evaluate closer to instability than this.
-STABILITY_MARGIN = 1e-6
+# The accept-all model never evaluates closer to instability than this
+# share of mu (_accept_all_cap).
+STABILITY_MARGIN = 1e-7
 
 # The solvers' lambda search, _zoom: a coarse grid of _COARSE_POINTS
-# intervals, then local rounds, each shrinking the window.  The
-# finite-buffer solver runs _ZOOM_ROUNDS rounds of 129 points at
-# _ZOOM_SHRINK; the accept-all baseline runs _REFINE_ROUNDS rounds of 9
-# points at _REFINE_SHRINK, which ends on the same spacing, since
-# 64**4 = 4**12.  The oracle's _search runs _ORACLE_ROUNDS rounds of 9 x 9
-# points at _REFINE_SHRINK, at the window offsets _OFFSETS.
+# intervals, then _ZOOM_ROUNDS rounds of 129 points at the window offsets
+# _ZOOM_OFFSETS, each shrinking the window by _ZOOM_SHRINK.  The oracle's
+# _search runs _ORACLE_ROUNDS rounds of 9 x 9 points at the window offsets
+# _OFFSETS, each shrinking the window by _REFINE_SHRINK.
 _COARSE_POINTS = 400
-_REFINE_ROUNDS = 12
-_REFINE_SHRINK = 0.25
 _ZOOM_ROUNDS = 4
 _ZOOM_SHRINK = 1.0 / 64.0
+_ZOOM_OFFSETS = np.linspace(-1.0, 1.0, int(round(2.0 / _ZOOM_SHRINK)) + 1)
 _ORACLE_ROUNDS = 10
+_REFINE_SHRINK = 0.25
 _OFFSETS = np.linspace(-1.0, 1.0, int(round(2.0 / _REFINE_SHRINK)) + 1)
 
 # Quote accuracy of the Newton searches, and a cap on their iterations;
@@ -166,20 +166,19 @@ def _distinct(x):
     return 1 + np.count_nonzero(np.diff(x, axis=1), axis=1)
 
 
-def _zoom(evaluate, lam_hi, rounds=_ZOOM_ROUNDS, shrink=_ZOOM_SHRINK):
+def _zoom(evaluate, lam_hi):
     """Maximize a profit over lam in [0, lam_hi] with the quote pinned per lam.
 
     evaluate(lam) returns (quote, profit, penalty) for a vector of rates:
     profit is -inf where infeasible, and penalty marks quotes above the
     service-level minimum.  A coarse scan of _COARSE_POINTS intervals
-    exposes a second peak; then each of the rounds spans the incumbent's
-    window of half-width w (first the coarse step) with 2/shrink + 1
-    points and shrinks w by shrink.  Every round runs, as in _search.
-    The finite-buffer solver runs the defaults, 4 rounds of 129 points;
-    the accept-all baseline runs _REFINE_ROUNDS rounds of 9 points.
+    exposes a second peak; then each of _ZOOM_ROUNDS rounds spans the
+    incumbent's window of half-width w (first the coarse step) with the
+    129 points of _ZOOM_OFFSETS and shrinks w 64-fold.  Every round runs
+    once a finite profit is found, as in _search.  Both numeric solvers
+    run this one schedule.
     """
     step = lam_hi / _COARSE_POINTS if lam_hi > 0 else 1.0
-    offsets = np.linspace(-1.0, 1.0, int(round(2.0 / shrink)) + 1)
     evals = 0
     best = {"profit": -np.inf, "lam": 0.0, "l": 0.0, "penalty": False}
 
@@ -195,13 +194,13 @@ def _zoom(evaluate, lam_hi, rounds=_ZOOM_ROUNDS, shrink=_ZOOM_SHRINK):
     consider(_axis(0.0, lam_hi, step))
     round_profits = [best["profit"]]
     rounds_used = 0
-    for _ in range(rounds):
+    for _ in range(_ZOOM_ROUNDS):
         if not np.isfinite(best["profit"]):
             break
-        consider(np.unique(np.clip(best["lam"] + step * offsets, 0.0, lam_hi)))
+        consider(np.unique(np.clip(best["lam"] + step * _ZOOM_OFFSETS, 0.0, lam_hi)))
         rounds_used += 1
         round_profits.append(best["profit"])
-        step *= shrink
+        step *= _ZOOM_SHRINK
 
     return {"lam": best["lam"], "l": best["l"], "profit": best["profit"],
             "branch": PENALTY_BINDING if best["penalty"] else SERVICE_BINDING,
@@ -496,6 +495,12 @@ def _zero_margin_rate(params: MarketParams) -> float:
     return max(params.a - params.b1 * params.m - params.b2 * params.z / params.mu, 0.0)
 
 
+def _accept_all_cap(params: MarketParams) -> float:
+    """The accept-all model's lambda cap: _zero_margin_rate, kept a
+    relative STABILITY_MARGIN below mu."""
+    return min(_zero_margin_rate(params), params.mu * (1.0 - STABILITY_MARGIN))
+
+
 def solve_mm1k_numeric(params: MarketParams) -> Solution:
     """Optimal policy of the finite-buffer system by a search over lambda.
 
@@ -525,27 +530,20 @@ def solve_mm1_baseline(params: MarketParams, costs_on: bool) -> Solution:
     """Optimal policy of the accept-all M/M/1 benchmark by a search over lambda.
 
     The quote at each lambda is pinned at ln(x)/(mu - lambda) (see
-    closed_form.quote_level), so _zoom searches lambda alone, a stability
-    margin away from lambda = mu, in _REFINE_ROUNDS rounds of 9 points.
-    Costs off means F = c = 0.
+    closed_form.quote_level), so _zoom searches lambda alone, up to
+    _accept_all_cap, on the finite-buffer solver's schedule.  Costs off
+    means F = c = 0.
     """
     if not costs_on:
         params = params.with_updates(F=0.0, c=0.0)
-    mu = params.mu
-    lam_hi = min(params.a, mu - STABILITY_MARGIN)
-    extra = {"model": "mm1", "costs_on": costs_on}
-    if lam_hi <= 0:
-        return _numeric_solution(params, {"profit": -np.inf, "lam": 0.0, "l": params.z / mu,
-                                          "evaluations": 0, "refine_rounds": 0,
-                                          "round_profits": []}, extra)
-    log_x = quote_level(params)[0]
+    mu, log_x = params.mu, quote_level(params)[0]
 
     def evaluate(lam):
         quote = log_x / (mu - lam)
         return quote, _mm1_objective(lam, quote, params), np.zeros(lam.shape, dtype=bool)
 
-    result = _zoom(evaluate, lam_hi, rounds=_REFINE_ROUNDS, shrink=_REFINE_SHRINK)
-    return _numeric_solution(params, result, extra)
+    result = _zoom(evaluate, _accept_all_cap(params))
+    return _numeric_solution(params, result, {"model": "mm1", "costs_on": costs_on})
 
 
 def _oracle_band(lam, params, model: str):
@@ -597,9 +595,8 @@ def brute_force_oracles(markets, model: str, resolution: int = 160) -> list:
         return SimpleNamespace(**{f: col[rows, None, None] for f, col in columns.items()})
 
     objective = {"mm11": _mm11_objective, "mm1": _mm1_objective, "mm1k": _mm1k_objective}[model]
-    lam_hi = np.array([_zero_margin_rate(p) for p in markets])
-    if model == "mm1":
-        lam_hi = np.minimum(lam_hi, columns["mu"] - STABILITY_MARGIN)
+    cap = _accept_all_cap if model == "mm1" else _zero_margin_rate
+    lam_hi = np.array([cap(p) for p in markets])
     results = _search(lambda lam, L, rows: objective(lam, L, view(rows)),
                       lambda lam, rows: _oracle_band(lam, view(rows), model),
                       lam_hi, resolution)
@@ -613,9 +610,9 @@ def brute_force_oracle(params: MarketParams, model: str, resolution: int = 160) 
     model picks the system: "mm11" single-slot, "mm1" accept-all benchmark
     or "mm1k" general finite buffer, with the costs of params (F = c = 0
     for the cost-free problem).  It covers the full band of _oracle_band,
-    with lambda up to _zero_margin_rate (a stability margin below mu for
-    "mm1"): a cap from market fields alone, which lets the coarse grid see
-    thin regions of positive profit.  Its accuracy is a function of
+    with lambda up to _zero_margin_rate (_accept_all_cap for "mm1"): a
+    cap from market fields alone, which lets the coarse grid see thin
+    regions of positive profit.  Its accuracy is a function of
     resolution alone.  The one-market case of brute_force_oracles.
     """
     return brute_force_oracles([params], model, resolution)[0]

@@ -63,6 +63,18 @@ def test_demand_law_rejects_non_finite_inputs(name, call, value):
         call(value)
 
 
+@pytest.mark.parametrize("name,call", [
+    ("p", lambda: expected_demand(-3.0, 0.3, BASE)),
+    ("l", lambda: expected_demand(5.0, -0.5, BASE)),
+    ("l", lambda: inverse_price(1.0, -0.5, BASE)),
+], ids=["expected_demand-p", "expected_demand-l", "inverse_price-l"])
+def test_demand_law_rejects_a_negative_price_or_quote(name, call):
+    # a Policy cannot carry a negative quote, so the demand law takes none
+    # either; the formula alone would give 36.0, 20.0 and 9.75 here
+    with pytest.raises(ValueError, match=rf"\b{name} must be >= 0"):
+        call()
+
+
 def test_z_is_log_reciprocal_tail():
     assert BASE.z == pytest.approx(math.log(20.0), rel=1e-15)
     assert MarketParams(a=1, b1=1, b2=0, mu=1, s=0.0).z == 0.0
