@@ -59,7 +59,9 @@ class MarketParams:
     def __post_init__(self) -> None:
         for name in ("a", "b1", "b2", "mu", "m", "s", "F", "c"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            # A plain float or int (not bool) skips the slow ABC check.
+            if type(value) not in (float, int) and (
+                    isinstance(value, bool) or not isinstance(value, numbers.Real)):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value}")

@@ -24,7 +24,11 @@ lo, the service-level minimum, is a bracketed Newton search on the
 on-time probability, which closes its bracket with one call of two points
 per row once Newton's own error estimate allows it, and hands its kernel
 values at lo on to the profit at lo and the first Newton step toward r
-(_pinned), so neither costs a call.  Above a - b1 m - b2 z/mu
+(_pinned), so neither costs a call.  A solve's time is mostly numpy
+calls, not points, so _pinned computes the blocking probability and the
+kernel's per-rate terms (queueing.mm1k_rate_terms) once per vector of
+rates and hands them to both Newton searches, whose steps run on the
+rows still open alone.  Above a - b1 m - b2 z/mu
 (_zero_margin_rate) no quote that meets the service level earns a
 margin, so the lambda search stops there, and for the accept-all model
 also a relative STABILITY_MARGIN below mu (_accept_all_cap), in the
@@ -60,6 +64,7 @@ from .queueing import (
     mm1k_blocking,
     mm1k_mean_number,
     mm1k_ontime_prob,
+    mm1k_rate_terms,
 )
 
 # Inside objectives, price may undershoot zero by market.FEASIBILITY_SLACK,
@@ -175,10 +180,11 @@ def _zoom(evaluate, lam_hi):
     exposes a second peak; then each of _ZOOM_ROUNDS rounds spans the
     incumbent's window of half-width w (first the coarse step) with the
     129 points of _ZOOM_OFFSETS and shrinks w 64-fold.  Every round runs
-    once a finite profit is found, as in _search.  Both numeric solvers
-    run this one schedule.
+    once a finite profit is found, as in _search, unless lam_hi is 0: the
+    coarse scan is then the single point lam = 0, and no round can move
+    it.  Both numeric solvers run this one schedule.
     """
-    step = lam_hi / _COARSE_POINTS if lam_hi > 0 else 1.0
+    step = lam_hi / _COARSE_POINTS
     evals = 0
     best = {"profit": -np.inf, "lam": 0.0, "l": 0.0, "penalty": False}
 
@@ -194,10 +200,13 @@ def _zoom(evaluate, lam_hi):
     consider(_axis(0.0, lam_hi, step))
     round_profits = [best["profit"]]
     rounds_used = 0
-    for _ in range(_ZOOM_ROUNDS):
+    for _ in range(_ZOOM_ROUNDS if lam_hi > 0 else 0):
         if not np.isfinite(best["profit"]):
             break
-        consider(np.unique(np.clip(best["lam"] + step * _ZOOM_OFFSETS, 0.0, lam_hi)))
+        # The window is sorted, so the rates that clipping repeats are
+        # neighbours; np.unique and np.clip would cost twice as much.
+        lam = np.minimum(np.maximum(best["lam"] + step * _ZOOM_OFFSETS, 0.0), lam_hi)
+        consider(lam[np.concatenate(([True], lam[1:] != lam[:-1]))])
         rounds_used += 1
         round_profits.append(best["profit"])
         step *= _ZOOM_SHRINK
@@ -207,7 +216,7 @@ def _zoom(evaluate, lam_hi):
             "evaluations": evals, "refine_rounds": rounds_used, "round_profits": round_profits}
 
 
-def min_leadtime_for_service(lam, params: MarketParams, log_density: bool = False):
+def min_leadtime_for_service(lam, params: MarketParams, log_density: bool = False, *, rates=None):
     """Smallest quote meeting the service level at arrival rate lam.
 
     Safeguarded Newton iteration on P(W <= l) = s, vectorized over lam.
@@ -223,11 +232,14 @@ def min_leadtime_for_service(lam, params: MarketParams, log_density: bool = Fals
     point tol/20 right of it (clear of rounding in P, and at most hi)
     with one 0.9 tol left of that, and the two close the bracket at once.
     Stops when the bracket is at most tol wide and returns its feasible
-    end.  Returns 0 when s = 0.
+    end.  Returns 0 when s = 0.  Each step runs on the rows still open
+    alone, and the per-rate kernel terms are taken once per call.
 
     With log_density=True the call returns (quote, P, log g, slope), the
     kernel's values at the quote (mm1k_ontime_prob with log_density), so
-    a caller that needs them there makes no call of its own.
+    a caller that needs them there makes no call of its own.  rates, if
+    given, is the pair (mm1k_blocking, mm1k_rate_terms) at a 1-d lam, from
+    a caller that has them already.
     """
     mu, K, s, tol = params.mu, params.K, params.s, QUOTE_TOL
     scalar = np.isscalar(lam)
@@ -243,67 +255,101 @@ def min_leadtime_for_service(lam, params: MarketParams, log_density: bool = Fals
         quote = np.zeros_like(arr)
         at_zero = mm1k_ontime_prob(arr, mu, K, quote, log_density=True) if log_density else ()
         return result(quote, *at_zero)
+    block, terms = rates if rates is not None else (
+        mm1k_blocking(arr, mu, K), mm1k_rate_terms(arr, mu, K))
     log_late = math.log1p(-s)
     lo = np.zeros_like(arr)
     hi = np.full_like(arr, erlang_quantile_bracket(mu, K, s))
     at_hi = np.full((3, arr.size), np.nan)
-    # First Newton step from l = 0, where P = 0 and the density is mu * w_0
-    # with w_0 = P(idle)/(1 - P_block), the chance an admitted job finds the
-    # server idle: exact at K = 1, the M/M/1 quote z/(mu - lam) for rho < 1
-    # and large K.  Cancellation in P(idle) at rho > 1 only sends it to hi.
-    block = mm1k_blocking(arr, mu, K)
-    idle = 1.0 - arr * (1.0 - block) / mu
-    with np.errstate(divide="ignore"):
-        x = np.minimum(-log_late * (1.0 - block) / (mu * idle), hi)
-    x = np.where(idle > 0.0, x, hi)
+    # The loop keeps the open rows alone, with their rates and terms, and
+    # records every row's bracket in quote and at_quote before it drops any.
+    quote, at_quote = hi.copy(), at_hi.copy()
+    idx, rows_lam, rows_terms = np.arange(arr.size), arr, terms
     paired = np.zeros(arr.shape, dtype=bool)
     width, nudge = 0.9 * tol, 0.05 * tol
-    live = np.arange(arr.size)
-    for _ in range(_MAX_NEWTON_STEPS):
-        if not live.size:
-            break
-        xs, los, his = x[live], lo[live], hi[live]
-        # A paired row's points are x - width, in the row's own slot, and x,
-        # appended after all rows unless it is hi, whose values are known.
-        low = paired[live]
-        two = np.flatnonzero(low & (xs < his))
-        rows, pts = live, np.where(low, xs - width, xs)
-        if two.size:
-            rows, pts = np.concatenate([live, live[two]]), np.concatenate([pts, xs[two]])
-        vals = np.array(mm1k_ontime_prob(arr[rows], mu, K, pts, log_density=True))
-        ok = vals[0] >= s
-        if two.size:
-            # A paired row steps on from its point nearest the root: the
-            # lower if feasible, else the upper, which if feasible closes
-            # the bracket on the lower.
-            low_fails = two[~ok[two]]
-            straddle = low_fails[ok[live.size:][~ok[two]]]
-            cur = np.arange(live.size)
-            cur[low_fails] = live.size + np.flatnonzero(~ok[two])
-            pts, vals, ok = pts[cur], vals[:, cur], ok[cur]
-            los[straddle] = xs[straddle] - width
-        his = np.where(ok, pts, his)
-        los = np.where(ok, los, pts)
-        at_hi[:, live[ok]] = vals[:, ok]
-        ontime, log_g, slope = vals
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # First Newton step from l = 0, where P = 0 and the density is mu * w_0
+        # with w_0 = P(idle)/(1 - P_block), the chance an admitted job finds the
+        # server idle: exact at K = 1, the M/M/1 quote z/(mu - lam) for rho < 1
+        # and large K.  Cancellation in P(idle) at rho > 1 only sends it to hi.
+        idle = 1.0 - arr * (1.0 - block) / mu
+        x = np.minimum(-log_late * (1.0 - block) / (mu * idle), hi)
+        x = np.where(idle > 0.0, x, hi)
+        for _ in range(_MAX_NEWTON_STEPS):
+            if not idx.size:
+                break
+            if np.count_nonzero(paired):
+                pts, vals, ok = _paired_points(rows_lam, rows_terms, x, lo, hi, paired, width, params)
+            else:
+                pts = x
+                vals = mm1k_ontime_prob(rows_lam, mu, K, pts, log_density=True, rates=rows_terms)
+                ok = vals[0] >= s
+            if np.count_nonzero(ok) == ok.size:
+                # Newton iterates approach the root from the feasible side,
+                # so most steps move hi alone.
+                hi, at_hi = pts, np.array(vals)
+            else:
+                # hi and lo belong to this loop, so they move in place
+                # (np.copyto costs half of np.where).
+                np.copyto(hi, pts, where=ok)
+                np.copyto(lo, pts, where=~ok)
+                at_hi = np.where(ok, vals, at_hi)
+            ontime, log_g, slope = vals
             log_late_now = np.log(1.0 - ontime)
             late_g = np.exp(log_late_now - log_g)
             step = (log_late_now - log_late) * late_g
             close = np.abs(slope + 1.0 / late_g) * step * step <= 0.5 * tol
-        nxt = pts + step
-        pair = close & (nxt >= los) & (nxt <= his)
-        inside = (nxt > los) & (nxt < his)
-        nxt = np.where(pair, np.minimum(nxt + nudge, his),
-                       np.where(inside, nxt, 0.5 * (los + his)))
-        lo[live], hi[live], x[live], paired[live] = los, his, nxt, pair
-        live = live[his - los > tol]
+            nxt = pts + step
+            paired = close & (nxt >= lo) & (nxt <= hi)
+            inside = (nxt > lo) & (nxt < hi)
+            x = 0.5 * (lo + hi)
+            np.copyto(x, nxt, where=inside)
+            np.copyto(x, np.minimum(nxt + nudge, hi), where=paired)
+            keep = (hi - lo > tol).nonzero()[0]
+            if keep.size < idx.size:
+                quote[idx], at_quote[:, idx] = hi, at_hi
+                if not keep.size:
+                    break
+                idx, rows_lam, rows_terms, x, lo, hi, at_hi, paired = (
+                    v.take(keep, axis=-1)
+                    for v in (idx, rows_lam, rows_terms, x, lo, hi, at_hi, paired))
+        else:
+            quote[idx], at_quote[:, idx] = hi, at_hi
     if log_density:
         # A row whose bracket closed on the starting bound never evaluated hi.
-        todo = np.flatnonzero(np.isnan(at_hi[0]))
+        todo = np.isnan(at_quote[0]).nonzero()[0]
         if todo.size:
-            at_hi[:, todo] = mm1k_ontime_prob(arr[todo], mu, K, hi[todo], log_density=True)
-    return result(hi, *at_hi)
+            at_quote[:, todo] = mm1k_ontime_prob(arr[todo], mu, K, quote[todo], log_density=True,
+                                                 rates=terms.take(todo, axis=1))
+    return result(quote, *at_quote)
+
+
+def _paired_points(lam, terms, x, lo, hi, paired, width, params: MarketParams):
+    """One kernel call of a quote-search step with paired rows: a paired
+    row's points are x - width, in the row's own slot, and x, appended
+    after all rows unless it is hi, whose values are known.  Returns each
+    row's point nearest the root, the kernel's values there and whether it
+    meets the service level: the lower if feasible, else the upper, which
+    if feasible closes the bracket on the lower (lo is moved in place)."""
+    mu, K, s = params.mu, params.K, params.s
+    pts = np.where(paired, x - width, x)
+    two = (paired & (x < hi)).nonzero()[0]
+    if not two.size:
+        vals = mm1k_ontime_prob(lam, mu, K, pts, log_density=True, rates=terms)
+        return pts, vals, vals[0] >= s
+    n = x.size
+    rows = np.concatenate([np.arange(n), two])
+    pts = np.concatenate([pts, x[two]])
+    vals = np.array(mm1k_ontime_prob(lam[rows], mu, K, pts, log_density=True,
+                                     rates=terms.take(rows, axis=1)))
+    ok = vals[0] >= s
+    low_fails = ~ok[two]
+    upper = two[low_fails]
+    pick = np.arange(n)
+    pick[upper] = n + low_fails.nonzero()[0]
+    straddle = upper[ok[n:][low_fails]]
+    lo[straddle] = x[straddle] - width
+    return pts[pick], vals.take(pick, axis=1), ok[pick]
 
 
 def _mm1k_load(lam, params: MarketParams):
@@ -419,27 +465,33 @@ def _pinned(lam, params: MarketParams):
     """pinned_quote at a vector of rates, with the profit there and a mask
     of the rows quoted above lo (r or the cap).
 
-    The quote search hands on its kernel values at lo, so the profit at lo
-    and the first Newton step toward r cost no call of their own; one
-    objective call covers the rows with an r, and lambda_eff and L_s are
-    computed once for the whole vector."""
+    The blocking probability and the kernel's per-rate terms are computed
+    once for the vector and shared by the quote search, the search for r
+    and the profit; the quote search hands on its kernel values at lo, so
+    the profit at lo and the first Newton step toward r cost no call of
+    their own, and one objective call covers the rows with an r."""
     a, b2, mu, K, c = params.a, params.b2, params.mu, params.K, params.c
-    leff, ls = _mm1k_load(lam, params)
-    lo, ontime, log_g, slope = min_leadtime_for_service(lam, params, log_density=True)
+    block = mm1k_blocking(lam, mu, K)
+    leff, ls = lam * (1.0 - block), mm1k_mean_number(lam, mu, K)
+    terms = mm1k_rate_terms(lam, mu, K)
+    lo, ontime, log_g, slope = min_leadtime_for_service(lam, params, log_density=True,
+                                                        rates=(block, terms))
     if c > 0 and b2 == 0:
         quote = _leadtime_cap(lo, mu)
-        profit = _mm1k_value(lam, quote, mm1k_ontime_prob(lam, mu, K, quote), leff, ls, params)
-        return quote, profit, np.ones(lam.shape, dtype=bool)
+        ontime = mm1k_ontime_prob(lam, mu, K, quote, rates=terms)
+        return quote, _mm1k_value(lam, quote, ontime, leff, ls, params), np.ones(lam.shape, dtype=bool)
     profit = _mm1k_value(lam, lo, ontime, leff, ls, params)
     quote, penalty = lo.copy(), np.zeros(lam.shape, dtype=bool)
-    rows = np.flatnonzero((lam > 0) & ((a - lam) / b2 > lo)) if c > 0 else np.arange(0)
-    root = _right_end(lam[rows], lo[rows], log_g[rows], slope[rows], leff[rows], ls[rows], params)
+    rows = ((lam > 0) & ((a - lam) / b2 > lo)).nonzero()[0] if c > 0 else np.arange(0)
+    root = _right_end(lam[rows], lo[rows], log_g[rows], slope[rows], leff[rows], ls[rows],
+                      terms.take(rows, axis=1), params)
     found = np.isfinite(root)
     rows = rows[found]
     if rows.size:
         # A root that converged onto lo may sit up to QUOTE_TOL below it.
         r = np.maximum(root[found], lo[rows])
-        at_r = _mm1k_value(lam[rows], r, mm1k_ontime_prob(lam[rows], mu, K, r),
+        at_r = _mm1k_value(lam[rows], r, mm1k_ontime_prob(lam[rows], mu, K, r,
+                                                          rates=terms.take(rows, axis=1)),
                            leff[rows], ls[rows], params)
         better = at_r > profit[rows]
         rows = rows[better]
@@ -447,42 +499,45 @@ def _pinned(lam, params: MarketParams):
     return quote, profit, penalty
 
 
-def _right_end(lam, lo, log_g, slope, leff, ls, params: MarketParams):
+def _right_end(lam, lo, log_g, slope, leff, ls, terms, params: MarketParams):
     """The right end r (see pinned_quote) clipped to the zero-price bound,
     NaN where there is none above lo, for rows with lam > 0 and lo below
-    that bound.  log_g and slope are the kernel's values at lo, and leff
-    and ls those of _mm1k_load."""
+    that bound.  log_g and slope are the kernel's values at lo, leff and
+    ls the admitted rate and the mean number in system, and terms the
+    kernel's per-rate terms.  Each step runs on the rows still searching
+    alone."""
     a, b1, b2, mu, K, c = params.a, params.b1, params.b2, params.mu, params.K, params.c
     hi = (a - lam) / b2
-    log_level = np.log(leff * b2 / (b1 * c * ls))
+    level = np.log(leff * b2 / (b1 * c * ls))
     x = np.where(lam > mu, np.maximum(lo, (K - 1) / mu), lo)
     x = np.minimum(x, hi)
-    log_g, slope = log_g.copy(), slope.copy()
-    moved = np.flatnonzero(x != lo)
+    moved = (x != lo).nonzero()[0]
     if moved.size:
-        _, log_g[moved], slope[moved] = mm1k_ontime_prob(lam[moved], mu, K, x[moved],
-                                                         log_density=True)
+        log_g, slope = log_g.copy(), slope.copy()
+        _, log_g[moved], slope[moved] = mm1k_ontime_prob(lam[moved], mu, K, x[moved], log_density=True,
+                                                         rates=terms.take(moved, axis=1))
     root = np.full_like(lam, np.nan)
-    live = np.arange(lam.size)
-    for _ in range(_MAX_NEWTON_STEPS):
-        xs = x[live]
-        phi = log_g[live] - log_level[live]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = np.where(slope[live] < 0.0, xs - phi / slope[live], np.inf)
-        # Left of r (only from the start point) the step overshoots past r;
-        # at hi with phi still positive, r lies beyond the zero-price bound.
-        # Right of r, a rising g or a step below lo means no r above lo.
-        up = phi > 0.0
-        at_cap = up & (xs >= hi[live])
-        nxt = np.where(up, np.minimum(nxt, hi[live]), nxt)
-        done = at_cap | (np.abs(nxt - xs) <= QUOTE_TOL)
-        lost = ~up & ((slope[live] >= 0.0) | (nxt <= lo[live]))
-        root[live[done]] = np.where(at_cap, xs, nxt)[done]
-        x[live] = nxt
-        live = live[~(done | lost)]
-        if not live.size:
-            break
-        _, log_g[live], slope[live] = mm1k_ontime_prob(lam[live], mu, K, x[live], log_density=True)
+    idx = np.arange(lam.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_NEWTON_STEPS):
+            phi = log_g - level
+            nxt = np.where(slope < 0.0, x - phi / slope, np.inf)
+            # Left of r (only from the start point) the step overshoots past r;
+            # at hi with phi still positive, r lies beyond the zero-price bound.
+            # Right of r, a rising g or a step below lo means no r above lo.
+            up = phi > 0.0
+            at_cap = up & (x >= hi)
+            nxt = np.where(up, np.minimum(nxt, hi), nxt)
+            done = at_cap | (np.abs(nxt - x) <= QUOTE_TOL)
+            lost = ~up & ((slope >= 0.0) | (nxt <= lo))
+            found = done.nonzero()[0]
+            root[idx[found]] = np.where(at_cap, x, nxt)[found]
+            keep = (~(done | lost)).nonzero()[0]
+            if not keep.size:
+                break
+            idx, lam, terms, x, lo, hi, level = (
+                v.take(keep, axis=-1) for v in (idx, lam, terms, nxt, lo, hi, level))
+            _, log_g, slope = mm1k_ontime_prob(lam, mu, K, x, log_density=True, rates=terms)
     return root
 
 

@@ -16,7 +16,11 @@ point, so a call costs the same at any K.  Where those terms overflow
 (rho > 1, mu l large) the first is taken in log space; where they cancel
 (near rho = 1) the late mass is summed term by term as an array, whose
 cost grows with K but which those few rows alone take.  Both switches
-follow from the error bound stated in _late_mass.
+follow from the error bound stated in _late_mass.  The factors that
+depend on rho alone (_rate_terms) are a dozen of a call's numpy
+operations; a caller that evaluates many lead times at one vector of
+rates, as the quote search does, takes them once from mm1k_rate_terms and
+passes them back with rates=, for the same answer bit for bit.
 
 All rate/time arguments accept floats or numpy arrays and broadcast like
 ufuncs; K is always a scalar int.  A negative or non-finite rate or lead
@@ -60,15 +64,24 @@ def _check_rates(lam, mu: float, K: int) -> None:
         raise ValueError(f"service rate mu must be positive and finite, got {mu}")
     if not (isinstance(K, (int, np.integer)) and K >= 1):
         raise ValueError(f"capacity K must be an integer >= 1, got {K}")
-    lam = np.asarray(lam)
-    if not ((lam >= 0) & (lam < math.inf)).all():
+    if not _finite_nonnegative(lam):
         raise ValueError("arrival rate lambda must be finite and >= 0")
 
 
 def _check_lead(l) -> None:
-    l = np.asarray(l)
-    if not ((l >= 0) & (l < math.inf)).all():
+    if not _finite_nonnegative(l):
         raise ValueError("lead time l must be finite and >= 0")
+
+
+def _finite_nonnegative(v) -> bool:
+    # nan fails both comparisons.  count_nonzero costs a fraction of all().
+    v = np.asarray(v)
+    return np.count_nonzero((v >= 0) & (v < math.inf)) == v.size
+
+
+def _is_scalar(x) -> bool:
+    # np.isscalar is never true of an array, and costs more than this test.
+    return not isinstance(x, np.ndarray) and np.isscalar(x)
 
 
 def _ret(x: np.ndarray, scalar: bool):
@@ -77,19 +90,21 @@ def _ret(x: np.ndarray, scalar: bool):
 
 def mm1k_blocking(lam, mu: float, K: int):
     """Probability an arrival finds the buffer full and is turned away."""
-    scalar = np.isscalar(lam)
+    scalar = _is_scalar(lam)
     _check_rates(lam, mu, K)
     rho = np.asarray(lam, dtype=float) / mu
+    zero = rho == 0.0
     near_one = np.abs(rho - 1.0) <= RHO_ONE_TOL
     # t = min(rho, 1/rho) <= 1, 0.5 where rho is 0 or 1, whose branches
     # never read it.  For rho > 1 the blocking probability equals
     # (1 - q)/(1 - q^(K+1)) with q = 1/rho = t.  The reciprocal is taken
     # of max(t, 1), since 1/t overflows at a subnormal rho.
-    t = np.where(near_one | (rho == 0.0), 0.5, rho)
+    t = np.where(near_one | zero, 0.5, rho)
     t = np.minimum(t, 1.0 / np.maximum(t, 1.0))
-    num = np.where(rho > 1.0, 1.0 - t, (1.0 - t) * t**K)
+    one_less = 1.0 - t
+    num = np.where(rho > 1.0, one_less, one_less * t**K)
     block = np.where(near_one, 1.0 / (K + 1), num / (1.0 - t ** (K + 1)))
-    return _ret(np.where(rho == 0.0, 0.0, block), scalar)
+    return _ret(np.where(zero, 0.0, block), scalar)
 
 
 def mm1k_mean_number(lam, mu: float, K: int):
@@ -99,16 +114,19 @@ def mm1k_mean_number(lam, mu: float, K: int):
     (K+1)/(1-e^-(K+1)u) - 1/(1-e^-u).  Both terms grow like 1/|u| near
     rho = 1, so for |u| < 1/2 each is taken less its 1/u pole, via
     _sigma, and the poles cancel exactly: L = (K+1) sigma((K+1)u) - sigma(u).
-    This holds for every rho > 0, with no branch at rho = 1.
+    This holds for every rho > 0, with no branch at rho = 1.  A call whose
+    rates all lie outside that band skips the series.
     """
-    scalar = np.isscalar(lam)
+    scalar = _is_scalar(lam)
     _check_rates(lam, mu, K)
     n = K + 1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = np.log(np.asarray(lam, dtype=float) / mu)
-        sigma = _sigma(np.multiply.outer((n, 1.0), u))
-        ls = np.where(np.abs(u) < 0.5, n * sigma[0] - sigma[1],
-                      1.0 / np.expm1(-u) - n / np.expm1(-n * u))
+        ls = 1.0 / np.expm1(-u) - n / np.expm1(-n * u)
+        near = np.abs(u) < 0.5
+        if np.count_nonzero(near):
+            sigma = _sigma(np.multiply.outer((n, 1.0), u))
+            ls = np.where(near, n * sigma[0] - sigma[1], ls)
     return _ret(ls, scalar)
 
 
@@ -142,7 +160,7 @@ def mm1k_mean_sojourn(lam, mu: float, K: int):
     return ls / leff
 
 
-def mm1k_ontime_prob(lam, mu: float, K: int, l, log_density: bool = False):
+def mm1k_ontime_prob(lam, mu: float, K: int, l, log_density: bool = False, *, rates=None):
     """P(sojourn <= l) for an admitted job in steady state.
 
     The sojourn is Erlang(k+1, mu) with probability
@@ -160,22 +178,58 @@ def mm1k_ontime_prob(lam, mu: float, K: int, l, log_density: bool = False):
     g = mu (1-rho)/(1-rho^K) e^-(1-rho)x Q(K, rho x) is the sojourn density
     and d log g / dl = mu ((rho-1) - rho pi_(K-1)(rho x) / Q(K, rho x)),
     pi_j(y) the Poisson(y) pmf at j; neither needs a subtraction.
+
+    rates, if given, is mm1k_rate_terms at these arrival rates (lam and l
+    of one shape), so a caller that evaluates many lead times per rate
+    takes the per-rate terms once; the answer is the same bit for bit.
     """
-    scalar = np.isscalar(lam) and np.isscalar(l)
-    lam, lead = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(l, dtype=float))
+    scalar = _is_scalar(lam) and _is_scalar(l)
+    lam, lead = np.asarray(lam, dtype=float), np.asarray(l, dtype=float)
+    if lam.shape != lead.shape:
+        lam, lead = np.broadcast_arrays(lam, lead)
     _check_rates(lam, mu, K)
     _check_lead(lead)
     shape = lam.shape
-    late, log_h, slope = _late_mass(lam.ravel() / mu, mu * lead.ravel(), K, log_density)
-    ontime = _ret(np.clip(1.0 - late, 0.0, 1.0).reshape(shape), scalar)
+    if rates is None:
+        rates = _rate_terms(lam.ravel() / mu, K)
+    elif rates.shape[1:] != (lam.size,):
+        raise ValueError(f"rates hold {rates.shape[1:]} arrival rates, expected {lam.size}")
+    late, log_h, slope = _late_mass(rates, mu * lead.ravel(), K, log_density)
+    # np.clip's wrapper costs more than the two ufuncs it comes to.
+    ontime = _ret(np.minimum(np.maximum(1.0 - late, 0.0), 1.0).reshape(shape), scalar)
     if not log_density:
         return ontime
     log_g = (math.log(mu) + log_h).reshape(shape)
     return ontime, _ret(log_g, scalar), _ret((mu * slope).reshape(shape), scalar)
 
 
-def _late_mass(rho, x, K: int, log_density: bool = False):
-    """Late mass sum_k w_k Q(k+1, x) at 1-d arrays of rho and x = mu l.
+def mm1k_rate_terms(lam, mu: float, K: int):
+    """The factors of mm1k_ontime_prob that depend on the arrival rate
+    alone, one column per rate of lam raveled (see _rate_terms).  Pass them
+    back as rates=, or rates[:, rows] with lam[rows]."""
+    lam = np.asarray(lam, dtype=float)
+    _check_rates(lam, mu, K)
+    return _rate_terms(lam.ravel() / mu, K)
+
+
+def _rate_terms(rho, K: int):
+    """The rows of _late_mass's factors that depend on rho alone, stacked:
+    rho, rho - 1, m, e^(s-m), 1 - e^-|s| and ln h.  At K = 1 the late mass
+    is e^-x at every rate, and rho is the only row."""
+    if K == 1:
+        return rho[None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = K * np.log(rho)
+        m = np.maximum(s, 0.0)
+        den = -np.expm1(-np.abs(s))
+        rho_less_one = rho - 1.0
+        h = np.where(s == 0.0, 1.0 / K, np.abs(rho_less_one) / den)
+        return np.array([rho, rho_less_one, m, np.exp(s - m), den, np.log(h)])
+
+
+def _late_mass(rates, x, K: int, log_density: bool = False):
+    """Late mass sum_k w_k Q(k+1, x) at a 1-d array x = mu l, with rates
+    the _rate_terms at each row's rho.
 
     With s = K ln rho, m = max(s, 0) and the two terms
     T1 = e^((rho-1)x - m) Q(K, rho x) and T2 = e^(s-m) Q(K, x), both <= 1,
@@ -203,19 +257,18 @@ def _late_mass(rho, x, K: int, log_density: bool = False):
     Returns (late, log(g/mu), d log g / dx); the last two are None unless
     log_density.
     """
-    if K == 1 or not rho.any():
+    if K == 1 or not np.count_nonzero(rates[0]):
         # An admitted job always finds the server idle: Exp(1) in x units.
         late = np.exp(-x)
         return (late, -x, np.full_like(x, -1.0)) if log_density else (late, None, None)
+    rho, rho_less_one, m, exp_s, den, log_h = rates
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = K * np.log(rho)
-        m = np.maximum(s, 0.0)
         y = rho * x
-        e = (rho - 1.0) * x - m
+        e = rho_less_one * x - m
         q_y = gammaincc(K, y)
         t1 = np.exp(e) * q_y
-        t2 = np.exp(s - m) * gammaincc(K, x)
-        deep = np.flatnonzero(~(q_y >= _TINY) | (e > _EXP_MAX))
+        t2 = exp_s * gammaincc(K, x)
+        deep = (~(q_y >= _TINY) | (e > _EXP_MAX)).nonzero()[0]
         if deep.size or log_density:
             log_pi = xlogy(K - 1, y) - y - math.lgamma(K)
             log_q = np.log(q_y)
@@ -223,16 +276,14 @@ def _late_mass(rho, x, K: int, log_density: bool = False):
             log_q[deep] = log_pi[deep] + np.log(_tail_ratio(K, y[deep]))
             t1[deep] = np.exp(e[deep] + log_q[deep])
         diff = np.abs(t1 - t2)
-        den = -np.expm1(-np.abs(s))
         late = diff / den
-        cancels = np.flatnonzero(~(t1 + t2 <= _KAPPA_MAX * diff))
+        cancels = (~(t1 + t2 <= _KAPPA_MAX * diff)).nonzero()[0]
         if cancels.size:
             late[cancels] = _late_sum(rho[cancels], x[cancels], K)
         if not log_density:
             return late, None, None
-        h = np.where(s == 0.0, 1.0 / K, np.abs(1.0 - rho) / den)
-        slope = (rho - 1.0) - rho * np.exp(log_pi - log_q)
-        return late, np.log(h) + e + log_q, slope
+        slope = rho_less_one - rho * np.exp(log_pi - log_q)
+        return late, log_h + e + log_q, slope
 
 
 def _tail_ratio(K: int, y):
@@ -252,17 +303,16 @@ def _late_sum(rho, x, K: int):
     rho = 1.  Every term is positive, so nothing cancels at any rho.  Each
     term is taken from its own logarithm, j ln(rho x) - x - ln j!, so its
     error does not build up over j; the work is O(K) array cells per row,
-    with no Python loop over j."""
+    with no Python loop over j.  Called under _late_mass's errstate."""
     late = np.empty_like(x)
     step = max(1, _SUM_CELLS // K)
     j = np.arange(K)
     log_fact = gammaln(j + 1.0)
     for lo in range(0, x.size, step):
         r, xs = rho[lo:lo + step, None], x[lo:lo + step, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_b = xlogy(j, r * xs) - xs - log_fact
-            u = np.log(r)
-            weight = np.where(u == 0.0, (K - j) / K, np.expm1((K - j) * u) / np.expm1(K * u))
+        log_b = xlogy(j, r * xs) - xs - log_fact
+        u = np.log(r)
+        weight = np.where(u == 0.0, (K - j) / K, np.expm1((K - j) * u) / np.expm1(K * u))
         top = log_b.max(axis=1)
         late[lo:lo + step] = np.exp(top) * np.sum(np.exp(log_b - top[:, None]) * weight, axis=1)
     return late

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 from itertools import chain, count
 
 import numpy as np
-from scipy.special import stdtrit
+from scipy.special import bdtr, bdtrc, stdtrit
 
 from .market import MarketParams, Policy
 from .numeric import mm1k_profit
@@ -38,6 +38,10 @@ from .queueing import (
 WARMUP_FRACTION = 0.05
 N_BATCHES = 20
 _CHUNK = 1 << 16
+
+# The 3-sigma rule's two-sided false-alarm rate under a normal law,
+# 2 (1 - Phi(3)) = 0.27 %, which validate's binomial tails keep.
+FALSE_ALARM = math.erfc(3.0 / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -250,21 +254,37 @@ def validate(report: SimReport, params: MarketParams, policy: Policy) -> Validat
     """Compare a simulation report against the steady-state formulas.
 
     Each metric must sit within 3 standard errors (half-width / t-critical)
-    of its analytic value.
+    of its analytic value.  A proportion whose batch means all agree, such
+    as a blocking share of 0 or an on-time share of 1, has no standard
+    error; its count is tested instead against the binomial law of the
+    arrivals it counts (admitted jobs for the on-time share), in both
+    tails, at the 3-sigma rule's false-alarm rate FALSE_ALARM.
     """
     lam, mu, K, l = policy.lam, params.mu, params.K, policy.l
     tcrit = float(stdtrit(N_BATCHES - 1, 0.975))
+    n_admitted = report.n_arrivals - report.n_blocked
     analytic = {
-        "block_prob": (report.block_prob, mm1k_blocking(lam, mu, K)),
-        "mean_number": (report.mean_number, mm1k_mean_number(lam, mu, K)),
-        "throughput": (report.throughput, mm1k_throughput(lam, mu, K)),
-        "mean_sojourn": (report.mean_sojourn, mm1k_mean_sojourn(lam, mu, K)),
-        "ontime_prob": (report.ontime_prob, mm1k_ontime_prob(lam, mu, K, l)),
-        "profit_factored_lateness": (report.profit_factored_lateness, mm1k_profit(policy, params)),
+        "block_prob": (report.block_prob, mm1k_blocking(lam, mu, K), report.n_arrivals),
+        "mean_number": (report.mean_number, mm1k_mean_number(lam, mu, K), None),
+        "throughput": (report.throughput, mm1k_throughput(lam, mu, K), None),
+        "mean_sojourn": (report.mean_sojourn, mm1k_mean_sojourn(lam, mu, K), None),
+        "ontime_prob": (report.ontime_prob, mm1k_ontime_prob(lam, mu, K, l), n_admitted),
+        "profit_factored_lateness": (report.profit_factored_lateness, mm1k_profit(policy, params), None),
     }
     checks = []
-    for name, (est, truth) in analytic.items():
+    for name, (est, truth, trials) in analytic.items():
         sigma = est.halfwidth / tcrit
-        ok = bool(abs(est.value - truth) <= 3.0 * sigma + 1e-9)
+        if sigma == 0.0 and trials is not None:
+            ok = _binomial_agrees(round(est.value * trials), trials, float(truth))
+        else:
+            ok = bool(abs(est.value - truth) <= 3.0 * sigma + 1e-9)
         checks.append(MetricCheck(name, est.value, float(truth), sigma, ok))
     return ValidationVerdict(checks=tuple(checks), ok=all(c.ok for c in checks))
+
+
+def _binomial_agrees(k: int, n: int, p: float) -> bool:
+    """Whether k successes in n trials lie inside both FALSE_ALARM / 2
+    tails of Binomial(n, p): P(X <= k) and P(X >= k) both exceed it."""
+    below = bdtr(k, n, p)
+    above = bdtrc(k - 1, n, p) if k > 0 else 1.0
+    return bool(min(below, above) > FALSE_ALARM / 2.0)

@@ -2,7 +2,9 @@
 
 import json
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from leadquote import (
@@ -103,6 +105,22 @@ def test_params_validation(field, value):
     kwargs[field] = value
     with pytest.raises(ValueError):
         MarketParams(**kwargs)
+
+
+@pytest.mark.parametrize("value", [np.float64(30.0), Fraction(30, 1), 30, 30.0])
+def test_params_accept_every_real_number_type(value):
+    # Plain floats and ints take a fast path past the numbers.Real check;
+    # other real types still pass it, and bool and str still fail it
+    # (test_params_validation).
+    for field in ("a", "c"):
+        assert getattr(MarketParams(**{**BASE.to_dict(), field: value}), field) == 30
+
+
+@pytest.mark.parametrize("value", [True, "30"])
+def test_params_reject_bool_and_text_in_every_real_field(value):
+    for field in ("a", "b1", "b2", "mu", "m", "s", "F", "c"):
+        with pytest.raises(ValueError, match="real number"):
+            MarketParams(**{**BASE.to_dict(), field: value})
 
 
 def test_from_dict_keeps_boolean_capacity_rejectable():

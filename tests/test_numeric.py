@@ -209,6 +209,58 @@ def test_finite_buffer_solve_makes_few_ontime_calls(monkeypatch):
     assert len(calls) <= 26
 
 
+# The light and the full-buffer market at four K, and b2 = 0.
+BUFFER_MARKETS = [(30.0, 20.0, K) for K in (1, 5, 20, 200)] + \
+                 [(70.0, 5.0, K) for K in (1, 5, 20, 200)] + [(30.0, 0.0, 5)]
+
+
+def test_finite_buffer_solves_compute_blocking_once_per_rate_vector(monkeypatch):
+    # Each lambda vector's blocking probability serves both the profit's
+    # admitted rate and the quote search's first step, and the search
+    # spends each on-time evaluation once.
+    calls = {"mm1k_ontime_prob": 0, "mm1k_blocking": 0}
+    for name in calls:
+        def counted(*args, _name=name, _kernel=getattr(numeric, name), **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(numeric, name, counted)
+    for a, b2, K in BUFFER_MARKETS:
+        assert solve_mm1k_numeric(BASE.with_updates(a=a, b2=b2, K=K)).feasible
+    # 5 lambda vectors per solve: the coarse scan and 4 zoom rounds.
+    assert calls["mm1k_blocking"] == 5 * len(BUFFER_MARKETS)
+    assert calls["mm1k_ontime_prob"] <= 157
+
+
+@pytest.mark.parametrize("market, profit, lam, quote", [
+    (dict(K=1), 48.85732188968113, 13.979602663956356, 0.29957322735539926),
+    (dict(K=5), 69.79630919299424, 10.797354039969393, 0.7442584659859748),
+    (dict(K=20), 61.252527795121054, 7.441220530297914, 1.1512096541237908),
+    (dict(K=200), 61.04958118150335, 7.340611713188439, 1.126474192734632),
+    (dict(a=30.0, b2=0.0, K=5), 4.6794894638991735, 3.9606789439916614, 3.2384464680168294),
+    (dict(a=60.0, b2=1.0, c=60.0, s=0.2, K=8), 54.79050565430057, 9.524334231771038,
+     1.6156722984853074),
+])
+def test_finite_buffer_solve_is_pinned(market, profit, lam, quote):
+    # Bit for bit: the per-rate kernel terms and the quote search's
+    # bookkeeping must not move an iterate.  The last two markets quote
+    # above the service floor: the penalty-elimination cap and the right
+    # end r.
+    sol = solve_mm1k_numeric(BASE.with_updates(**{"a": 70.0, "b2": 5.0, **market}))
+    assert (sol.profit, sol.policy.lam, sol.policy.l) == (profit, lam, quote)
+
+
+@pytest.mark.parametrize("model", ["mm1k", "mm1"])
+def test_zero_lambda_cap_stops_after_the_coarse_point(model):
+    # At a = 20 the zero-margin rate is 0: the coarse scan is the single
+    # point lambda = 0, and no zoom round can move it.
+    params = BASE.with_updates(a=20.0, K=3)
+    sol = solve_mm1k_numeric(params) if model == "mm1k" else solve_mm1_baseline(params, costs_on=True)
+    assert not sol.feasible
+    assert sol.diagnostics["evaluations"] == 1
+    assert sol.diagnostics["refine_rounds"] == 0
+    assert len(sol.diagnostics["round_profits"]) == 1
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 40),
        zeroed=st.sampled_from([(), ("b2",), ("c",), ("s",), ("b2", "c", "s")]),

@@ -209,6 +209,37 @@ def test_non_finite_inputs_raise(bad):
             mm1_ontime_prob(*args)
 
 
+@pytest.mark.parametrize("K", [1, 2, 5, 200])
+def test_per_rate_terms_give_the_same_answer_bit_for_bit(K):
+    # Rates across rho = 1 (the term-by-term rows), at 0, and deep in
+    # overload with a long quote (the log-space rows); a column subset of
+    # the terms goes with the same subset of rates.
+    lam = np.array([0.0, 3.0, 9.99999, 10.0, 10.00001, 14.0, 80.0])
+    lead = np.array([0.3, 0.0, 0.5, 0.2, 1.0, 0.7, 40.0])
+    terms = queueing.mm1k_rate_terms(lam, 10.0, K)
+    for log_density in (False, True):
+        want = mm1k_ontime_prob(lam, 10.0, K, lead, log_density=log_density)
+        got = mm1k_ontime_prob(lam, 10.0, K, lead, log_density=log_density, rates=terms)
+        rows = np.array([1, 4, 6])
+        sub = mm1k_ontime_prob(lam[rows], 10.0, K, lead[rows], log_density=log_density,
+                               rates=terms.take(rows, axis=1))
+        for w, g, s in zip(*(np.atleast_2d(v) for v in (want, got, sub))):
+            assert w.tobytes() == g.tobytes()
+            assert w[rows].tobytes() == s.tobytes()
+
+
+def test_per_rate_terms_still_check_their_inputs():
+    terms = queueing.mm1k_rate_terms(np.array([3.0, 12.0]), 10.0, 4)
+    with pytest.raises(ValueError, match="rates hold"):
+        mm1k_ontime_prob(np.array([3.0]), 10.0, 4, np.array([0.3]), rates=terms)
+    with pytest.raises(ValueError, match="lambda"):
+        mm1k_ontime_prob(np.array([3.0, -1.0]), 10.0, 4, np.array([0.3, 0.3]), rates=terms)
+    with pytest.raises(ValueError, match="lead time"):
+        mm1k_ontime_prob(np.array([3.0, 12.0]), 10.0, 4, np.array([0.3, -0.3]), rates=terms)
+    with pytest.raises(ValueError, match="finite"):
+        queueing.mm1k_rate_terms(np.array([3.0, math.nan]), 10.0, 4)
+
+
 def _gammainc_ontime(lam, mu, K, l):
     """P(W <= l) as sum_k w_k gammainc(k+1, mu l), w_k proportional to rho^k,
     with the weights normalized in log space."""
@@ -339,7 +370,7 @@ def test_late_mass_matches_mpmath(seed, region):
     s = K * math.log(rho) if rho > 0 else 0.0
     size = 1 + x + y + abs(s) + K * (math.log1p(x) + math.log1p(y)) + math.lgamma(K)
     tol = 32 * 4 * np.finfo(float).eps * size
-    got = queueing._late_mass(np.array([rho]), np.array([x]), K)[0][0]
+    got = queueing._late_mass(queueing._rate_terms(np.array([rho]), K), np.array([x]), K)[0][0]
     want = _mpmath_late(rho, K, x)
     if want > 1e-300:
         assert abs(got - want) <= tol * want

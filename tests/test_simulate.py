@@ -24,6 +24,7 @@ from leadquote import (
     Policy,
     mm1k_throughput,
     simulate,
+    solve_mm1k_numeric,
     validate,
 )
 from leadquote.simulate import (
@@ -84,6 +85,37 @@ def test_verdict_fails_on_wrong_service_rate(report_k3):
     assert not verdict.ok
     failed = {c.name for c in verdict.checks if not c.ok}
     assert "mean_sojourn" in failed or "ontime_prob" in failed
+
+
+def test_verdict_passes_a_run_that_blocks_no_arrival():
+    # `leadquote simulate --K 3 --model mm1k --horizon 2000 --seed 1`: 0 of
+    # 1623 arrivals blocked, so every batch's share is 0 and sigma is 0.
+    # Under the analytic P_block = 5.7e-4, 0 blocked has probability 0.40.
+    policy = solve_mm1k_numeric(PARAMS_K3).policy
+    report = simulate(policy, PARAMS_K3, horizon=2000.0, seed=1)
+    verdict = validate(report, PARAMS_K3, policy)
+    block = verdict.checks[0]
+    assert (report.n_blocked, report.n_arrivals) == (0, 1623)
+    assert block.name == "block_prob" and block.sigma == 0.0 and block.analytic > 0.0
+    assert verdict.ok
+
+
+@pytest.mark.parametrize("name, l, ok", [("block_prob", 0.3, False),
+                                         ("ontime_prob", 3.0, True),
+                                         ("ontime_prob", 0.1, False)])
+def test_a_proportion_without_spread_takes_a_binomial_tail(name, l, ok):
+    # Negative controls: 0 blocked of 10^4 arrivals against P_block = 0.05
+    # (K = 1 at rho = 1/19), and 10^4 of 10^4 admitted jobs on time
+    # against P(W <= 0.1) = 0.63 fail; against P(W <= 3) = 1 - 6e-13 the
+    # second passes.
+    params = PARAMS_K3.with_updates(K=1)
+    policy = Policy(p=9.0, l=l, lam=params.mu / 19.0)
+    report = dataclasses.replace(simulate(policy, params, horizon=2000.0, seed=1),
+                                 n_arrivals=10_000, n_blocked=0,
+                                 block_prob=Estimate(0.0, 0.0), ontime_prob=Estimate(1.0, 0.0))
+    check = next(c for c in validate(report, params, policy).checks if c.name == name)
+    assert check.sigma == 0.0
+    assert check.ok == ok
 
 
 def test_littles_law_holds_empirically(report_k3):
