@@ -174,9 +174,11 @@ def _distinct(x):
 def _zoom(evaluate, lam_hi):
     """Maximize a profit over lam in [0, lam_hi] with the quote pinned per lam.
 
-    evaluate(lam) returns (quote, profit, penalty) for a vector of rates:
-    profit is -inf where infeasible, and penalty marks quotes above the
-    service-level minimum.  A coarse scan of _COARSE_POINTS intervals
+    evaluate(lam) returns (quote, profit, attained, penalty) for a vector
+    of rates: profit is -inf where infeasible, attained is the on-time
+    probability at the quote, and penalty marks quotes above the
+    service-level minimum.  The result hands on the attained level and
+    the branch at the best rate, so no one evaluates them again.  A coarse scan of _COARSE_POINTS intervals
     exposes a second peak; then each of _ZOOM_ROUNDS rounds spans the
     incumbent's window of half-width w (first the coarse step) with the
     129 points of _ZOOM_OFFSETS and shrinks w 64-fold.  Every round runs
@@ -186,16 +188,16 @@ def _zoom(evaluate, lam_hi):
     """
     step = lam_hi / _COARSE_POINTS
     evals = 0
-    best = {"profit": -np.inf, "lam": 0.0, "l": 0.0, "penalty": False}
+    best = {"profit": -np.inf, "lam": 0.0, "l": 0.0, "attained": 0.0, "penalty": False}
 
     def consider(lam):
         nonlocal evals
-        quote, profit, penalty = evaluate(lam)
+        quote, profit, attained, penalty = evaluate(lam)
         evals += lam.size
         i = int(np.argmax(profit))
         if np.isfinite(profit[i]) and profit[i] > best["profit"]:
             best.update(profit=float(profit[i]), lam=float(lam[i]), l=float(quote[i]),
-                        penalty=bool(penalty[i]))
+                        attained=float(attained[i]), penalty=bool(penalty[i]))
 
     consider(_axis(0.0, lam_hi, step))
     round_profits = [best["profit"]]
@@ -212,7 +214,7 @@ def _zoom(evaluate, lam_hi):
         step *= _ZOOM_SHRINK
 
     return {"lam": best["lam"], "l": best["l"], "profit": best["profit"],
-            "branch": PENALTY_BINDING if best["penalty"] else SERVICE_BINDING,
+            "attained": best["attained"], "branch": PENALTY_BINDING if best["penalty"] else SERVICE_BINDING,
             "evaluations": evals, "refine_rounds": rounds_used, "round_profits": round_profits}
 
 
@@ -415,26 +417,14 @@ def _mm1_objective(lam, L, params: MarketParams):
 
 
 def _numeric_solution(params: MarketParams, result: dict, extra: dict) -> Solution:
-    """A search's result under closed_form._sale's rule, with its counters."""
+    """A search's result under closed_form._sale's rule, with its counters.
+    The search hands on the attained level and branch at its best point."""
     diagnostics = {"z": params.z, **extra,
                    "evaluations": result["evaluations"],
                    "refine_rounds": result["refine_rounds"],
                    "round_profits": [float(v) for v in result["round_profits"] if np.isfinite(v)]}
-
-    def complete(policy):
-        lam, l = policy.lam, policy.l
-        if extra.get("model") == "mm1":
-            attained = mm1_ontime_prob(lam, params.mu, l)
-            branch = quote_level(params)[1]
-        else:
-            attained = mm1k_ontime_prob(lam, params.mu, params.K, l)
-            # The finite-buffer solver knows which end it quoted; the oracle,
-            # which searches the full band, reads it off the attained level.
-            branch = result.get("branch") or (
-                SERVICE_BINDING if attained <= params.s + 1e-6 else PENALTY_BINDING)
-        return result["profit"], float(attained), branch, diagnostics
-
-    return _sale(params, result["lam"], result["l"], diagnostics, complete)
+    return _sale(params, result["lam"], result["l"], diagnostics, lambda policy: (
+        result["profit"], result["attained"], result["branch"], diagnostics))
 
 
 def pinned_quote(lam, params: MarketParams):
@@ -462,8 +452,8 @@ def pinned_quote(lam, params: MarketParams):
 
 
 def _pinned(lam, params: MarketParams):
-    """pinned_quote at a vector of rates, with the profit there and a mask
-    of the rows quoted above lo (r or the cap).
+    """pinned_quote at a vector of rates, with the profit and the on-time
+    probability there and a mask of the rows quoted above lo (r or the cap).
 
     The blocking probability and the kernel's per-rate terms are computed
     once for the vector and shared by the quote search, the search for r
@@ -479,7 +469,8 @@ def _pinned(lam, params: MarketParams):
     if c > 0 and b2 == 0:
         quote = _leadtime_cap(lo, mu)
         ontime = mm1k_ontime_prob(lam, mu, K, quote, rates=terms)
-        return quote, _mm1k_value(lam, quote, ontime, leff, ls, params), np.ones(lam.shape, dtype=bool)
+        return (quote, _mm1k_value(lam, quote, ontime, leff, ls, params), ontime,
+                np.ones(lam.shape, dtype=bool))
     profit = _mm1k_value(lam, lo, ontime, leff, ls, params)
     quote, penalty = lo.copy(), np.zeros(lam.shape, dtype=bool)
     rows = ((lam > 0) & ((a - lam) / b2 > lo)).nonzero()[0] if c > 0 else np.arange(0)
@@ -490,13 +481,13 @@ def _pinned(lam, params: MarketParams):
     if rows.size:
         # A root that converged onto lo may sit up to QUOTE_TOL below it.
         r = np.maximum(root[found], lo[rows])
-        at_r = _mm1k_value(lam[rows], r, mm1k_ontime_prob(lam[rows], mu, K, r,
-                                                          rates=terms.take(rows, axis=1)),
-                           leff[rows], ls[rows], params)
+        ontime_r = mm1k_ontime_prob(lam[rows], mu, K, r, rates=terms.take(rows, axis=1))
+        at_r = _mm1k_value(lam[rows], r, ontime_r, leff[rows], ls[rows], params)
         better = at_r > profit[rows]
         rows = rows[better]
-        quote[rows], profit[rows], penalty[rows] = r[better], at_r[better], True
-    return quote, profit, penalty
+        quote[rows], profit[rows], ontime[rows], penalty[rows] = (
+            r[better], at_r[better], ontime_r[better], True)
+    return quote, profit, ontime, penalty
 
 
 def _right_end(lam, lo, log_g, slope, leff, ls, terms, params: MarketParams):
@@ -591,11 +582,14 @@ def solve_mm1_baseline(params: MarketParams, costs_on: bool) -> Solution:
     """
     if not costs_on:
         params = params.with_updates(F=0.0, c=0.0)
-    mu, log_x = params.mu, quote_level(params)[0]
+    mu, (log_x, branch) = params.mu, quote_level(params)
+    penalty = branch == PENALTY_BINDING
 
     def evaluate(lam):
-        quote = log_x / (mu - lam)
-        return quote, _mm1_objective(lam, quote, params), np.zeros(lam.shape, dtype=bool)
+        slack = mu - lam
+        quote = log_x / slack
+        attained = 1.0 - np.exp(-slack * quote)
+        return quote, _mm1_objective(lam, quote, params), attained, np.full(lam.shape, penalty)
 
     result = _zoom(evaluate, _accept_all_cap(params))
     return _numeric_solution(params, result, {"model": "mm1", "costs_on": costs_on})
@@ -630,7 +624,10 @@ def _mm11_objective(lam, L, params):
 def brute_force_oracles(markets, model: str, resolution: int = 160) -> list:
     """brute_force_oracle for each of a list of markets, searched as one
     stack (see _search), with the same answers bit for bit.  The service
-    search takes one K, so "mm1k" markets are searched one by one."""
+    search takes one K, so "mm1k" markets are searched one by one.  The
+    oracle searches the full band, so it does not know which end it quoted:
+    each answer takes its model's on-time law at the found policy and reads
+    the branch off it, service-binding within 1e-6 of s."""
     markets = list(markets)
     if model not in ORACLE_MODELS:
         raise ValueError(f"unknown oracle model {model!r}; pick one of {ORACLE_MODELS}")
@@ -655,6 +652,11 @@ def brute_force_oracles(markets, model: str, resolution: int = 160) -> list:
     results = _search(lambda lam, L, rows: objective(lam, L, view(rows)),
                       lambda lam, rows: _oracle_band(lam, view(rows), model),
                       lam_hi, resolution)
+    for p, result in zip(markets, results):
+        lam, l = result["lam"], result["l"]
+        attained = mm1_ontime_prob(lam, p.mu, l) if model == "mm1" else mm1k_ontime_prob(lam, p.mu, p.K, l)
+        result["attained"] = float(attained)
+        result["branch"] = SERVICE_BINDING if attained <= p.s + 1e-6 else PENALTY_BINDING
     return [_numeric_solution(p, result, {"model": model, "resolution": resolution})
             for p, result in zip(markets, results)]
 

@@ -17,6 +17,7 @@ from leadquote import (
     brute_force_oracle,
     brute_force_oracles,
     min_leadtime_for_service,
+    mm1_ontime_prob,
     mm1_profit,
     mm1k_blocking,
     mm1k_mean_number,
@@ -228,7 +229,7 @@ def test_finite_buffer_solves_compute_blocking_once_per_rate_vector(monkeypatch)
         assert solve_mm1k_numeric(BASE.with_updates(a=a, b2=b2, K=K)).feasible
     # 5 lambda vectors per solve: the coarse scan and 4 zoom rounds.
     assert calls["mm1k_blocking"] == 5 * len(BUFFER_MARKETS)
-    assert calls["mm1k_ontime_prob"] <= 157
+    assert calls["mm1k_ontime_prob"] <= 148
 
 
 @pytest.mark.parametrize("market, profit, lam, quote", [
@@ -310,6 +311,34 @@ def test_finite_buffer_branch_names_the_quoted_end(seed, K, zeroed):
         assert not at_floor
     if K == 1:
         assert sol.branch == solve_mm11_with_costs(params).branch
+
+
+def _mm1k_law(sol, params):
+    return mm1k_ontime_prob(sol.policy.lam, params.mu, params.K, sol.policy.l)
+
+
+def _mm1_law(sol, params):
+    return mm1_ontime_prob(sol.policy.lam, params.mu, sol.policy.l)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), K=st.sampled_from([1, 3, 20]),
+       zeroed=st.sampled_from([(), (), ("b2",), ("c",)]))
+def test_attained_level_is_the_on_time_law_at_the_returned_policy(seed, K, zeroed):
+    # Each search hands on the on-time probability at its best point rather
+    # than evaluating it again; it must be its model's law there, bit for bit.
+    params = random_params(np.random.default_rng(seed), costs_on=True)
+    params = params.with_updates(**dict.fromkeys(zeroed, 0.0))
+    buffered, costless = params.with_updates(K=K), params.with_updates(F=0.0, c=0.0)
+    cases = [(solve_mm1k_numeric(buffered), buffered, _mm1k_law),
+             (solve_mm1_baseline(params, costs_on=True), params, _mm1_law),
+             (solve_mm1_baseline(params, costs_on=False), costless, _mm1_law)]
+    for model, market, law in (("mm11", params, _mm1k_law), ("mm1", params, _mm1_law),
+                               ("mm1k", buffered, _mm1k_law)):
+        cases += [(sol, market, law) for sol in brute_force_oracles([market], model)]
+    for sol, market, law in cases:
+        if sol.feasible:
+            assert sol.service_level_attained == law(sol, market)
 
 
 def _sells_or_is_null(sol, params):
@@ -570,7 +599,7 @@ WIDE_AXIS = MarketParams(a=51.079466418997846, b1=6.702225199424642, b2=17.78586
                          F=0.0, c=0.0, K=1)
 
 
-@pytest.mark.parametrize("model", ["mm11", "mm1"])
+@pytest.mark.parametrize("model", ["mm11", "mm1", "mm1k"])
 def test_batched_oracle_equals_one_search_per_market(model):
     rng = np.random.default_rng(4)
     markets = [random_params(rng, costs_on=True) for _ in range(5)] + [
@@ -580,6 +609,8 @@ def test_batched_oracle_equals_one_search_per_market(model):
         BASE.with_updates(c=0.0),
         WIDE_AXIS,
     ]
+    if model == "mm1k":
+        markets = [p.with_updates(K=3) for p in markets]
     cap = numeric._zero_margin_rate(WIDE_AXIS)
     assert len(numeric._axis(0.0, cap, cap / 159)) == 161
     batched = brute_force_oracles(markets, model)
