@@ -177,8 +177,8 @@ def _zoom(evaluate, lam_hi):
     evaluate(lam) returns (quote, profit, attained, penalty) for a vector
     of rates: profit is -inf where infeasible, attained is the on-time
     probability at the quote, and penalty marks quotes above the
-    service-level minimum.  The result hands on the attained level and
-    the branch at the best rate, so no one evaluates them again.  A coarse scan of _COARSE_POINTS intervals
+    service-level minimum; the result keeps the attained level and branch
+    at the best rate.  A coarse scan of _COARSE_POINTS intervals
     exposes a second peak; then each of _ZOOM_ROUNDS rounds spans the
     incumbent's window of half-width w (first the coarse step) with the
     129 points of _ZOOM_OFFSETS and shrinks w 64-fold.  Every round runs
@@ -213,8 +213,8 @@ def _zoom(evaluate, lam_hi):
         round_profits.append(best["profit"])
         step *= _ZOOM_SHRINK
 
-    return {"lam": best["lam"], "l": best["l"], "profit": best["profit"],
-            "attained": best["attained"], "branch": PENALTY_BINDING if best["penalty"] else SERVICE_BINDING,
+    return {"lam": best["lam"], "l": best["l"], "profit": best["profit"], "attained": best["attained"],
+            "branch": PENALTY_BINDING if best["penalty"] else SERVICE_BINDING,
             "evaluations": evals, "refine_rounds": rounds_used, "round_profits": round_profits}
 
 
@@ -652,11 +652,10 @@ def brute_force_oracles(markets, model: str, resolution: int = 160) -> list:
     results = _search(lambda lam, L, rows: objective(lam, L, view(rows)),
                       lambda lam, rows: _oracle_band(lam, view(rows), model),
                       lam_hi, resolution)
-    for p, result in zip(markets, results):
-        lam, l = result["lam"], result["l"]
-        attained = mm1_ontime_prob(lam, p.mu, l) if model == "mm1" else mm1k_ontime_prob(lam, p.mu, p.K, l)
-        result["attained"] = float(attained)
-        result["branch"] = SERVICE_BINDING if attained <= p.s + 1e-6 else PENALTY_BINDING
+    for p, r in zip(markets, results):
+        r["attained"] = (mm1_ontime_prob(r["lam"], p.mu, r["l"]) if model == "mm1"
+                         else mm1k_ontime_prob(r["lam"], p.mu, p.K, r["l"]))
+        r["branch"] = SERVICE_BINDING if r["attained"] <= p.s + 1e-6 else PENALTY_BINDING
     return [_numeric_solution(p, result, {"model": model, "resolution": resolution})
             for p, result in zip(markets, results)]
 

@@ -25,10 +25,10 @@ passes them back with rates=, for the same answer bit for bit.
 All rate/time arguments accept floats or numpy arrays and broadcast like
 ufuncs; K is always a scalar int.  A negative or non-finite rate or lead
 time raises ValueError rather than returning nan.  The blocking
-probability treats rho as exactly critical when |rho - 1| <= 1e-9, where
-it switches to its limit, and takes powers of min(rho, 1/rho) so nothing
-overflows for large K or rho; the mean number in system needs no switch
-(see mm1k_mean_number).
+probability takes its two differences by expm1 of -|ln rho|, so they do
+not cancel near rho = 1 and nothing overflows for large K or rho; it
+switches to its limit only at rho = 1 exactly, and the mean number in
+system needs no switch (see mm1k_mean_number).
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ import math
 
 import numpy as np
 from scipy.special import gammaincc, gammaln, xlogy
-
-# Width of the blocking probability's rho = 1 branch switch.
-RHO_ONE_TOL = 1e-9
 
 # B_2k / (2k)!, k = 1..8: sigma(v) = 1/2 + sum_k B_2k v^(2k-1) / (2k)!.
 _SIGMA_SERIES = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
@@ -89,22 +86,21 @@ def _ret(x: np.ndarray, scalar: bool):
 
 
 def mm1k_blocking(lam, mu: float, K: int):
-    """Probability an arrival finds the buffer full and is turned away."""
+    """Probability an arrival finds the buffer full and is turned away.
+
+    With t = -|ln rho| <= 0, P_block = min(rho, 1)^K (e^t - 1)/(e^((K+1)t) - 1):
+    (1-rho) rho^K / (1-rho^(K+1)) below rho = 1, the same in 1/rho without
+    the power above it.  expm1 takes both differences without cancelling
+    near rho = 1, so the one switch is 1/(K+1) where t == 0, and no power
+    exceeds 1.
+    """
     scalar = _is_scalar(lam)
     _check_rates(lam, mu, K)
     rho = np.asarray(lam, dtype=float) / mu
-    zero = rho == 0.0
-    near_one = np.abs(rho - 1.0) <= RHO_ONE_TOL
-    # t = min(rho, 1/rho) <= 1, 0.5 where rho is 0 or 1, whose branches
-    # never read it.  For rho > 1 the blocking probability equals
-    # (1 - q)/(1 - q^(K+1)) with q = 1/rho = t.  The reciprocal is taken
-    # of max(t, 1), since 1/t overflows at a subnormal rho.
-    t = np.where(near_one | zero, 0.5, rho)
-    t = np.minimum(t, 1.0 / np.maximum(t, 1.0))
-    one_less = 1.0 - t
-    num = np.where(rho > 1.0, one_less, one_less * t**K)
-    block = np.where(near_one, 1.0 / (K + 1), num / (1.0 - t ** (K + 1)))
-    return _ret(np.where(zero, 0.0, block), scalar)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -np.abs(np.log(rho))
+        block = np.minimum(rho, 1.0) ** K * (np.expm1(t) / np.expm1((K + 1) * t))
+    return _ret(np.where(t == 0.0, 1.0 / (K + 1), block), scalar)
 
 
 def mm1k_mean_number(lam, mu: float, K: int):

@@ -233,7 +233,7 @@ def test_finite_buffer_solves_compute_blocking_once_per_rate_vector(monkeypatch)
 
 
 @pytest.mark.parametrize("market, profit, lam, quote", [
-    (dict(K=1), 48.85732188968113, 13.979602663956356, 0.29957322735539926),
+    (dict(K=1), 48.85732188968113, 13.979602606137307, 0.29957322735539915),
     (dict(K=5), 69.79630919299424, 10.797354039969393, 0.7442584659859748),
     (dict(K=20), 61.252527795121054, 7.441220530297914, 1.1512096541237908),
     (dict(K=200), 61.04958118150335, 7.340611713188439, 1.126474192734632),
@@ -246,8 +246,16 @@ def test_finite_buffer_solve_is_pinned(market, profit, lam, quote):
     # bookkeeping must not move an iterate.  The last two markets quote
     # above the service floor: the penalty-elimination cap and the right
     # end r.
-    sol = solve_mm1k_numeric(BASE.with_updates(**{"a": 70.0, "b2": 5.0, **market}))
+    params = BASE.with_updates(**{"a": 70.0, "b2": 5.0, **market})
+    sol = solve_mm1k_numeric(params)
     assert (sol.profit, sol.policy.lam, sol.policy.l) == (profit, lam, quote)
+    if params.K == 1:
+        # mm1k_blocking's expm1 form moved this pin from lambda
+        # 13.979602663956356 and quote 0.29957322735539926, with the same
+        # profit; it may only have moved toward the closed form.
+        closed = solve_mm11_with_costs(params).policy
+        assert abs(lam - closed.lam) <= abs(13.979602663956356 - closed.lam)
+        assert abs(quote - closed.l) <= abs(0.29957322735539926 - closed.l)
 
 
 @pytest.mark.parametrize("model", ["mm1k", "mm1"])

@@ -307,7 +307,10 @@ def test_log_density_closed_form_at_single_slot():
 @pytest.mark.parametrize("gap", [-1e-3, -1e-6, -1e-7, -1e-8, -2e-9, 2e-9, 1e-8, 1e-7, 1e-6, 1e-3])
 def test_mean_number_near_critical_load_matches_mpmath(K, gap):
     # rho/(1-rho) - (K+1) rho^(K+1)/(1-rho^(K+1)) subtracts two terms of
-    # size 1/|rho-1|, which leaves no correct digit within ~1e-8 of rho = 1
+    # size 1/|rho-1|, which leaves no correct digit within ~1e-8 of rho = 1;
+    # the blocking probability's 1 - rho and 1 - rho^(K+1) cancel there too.
+    # Its bound is 4 ulps at the rho = lam/mu it computes: its roundings
+    # (t, (K+1)t, two expm1 and a quotient) cost up to 2.3 ulps.
     import mpmath
 
     lam = 10.0 * (1.0 + gap)
@@ -315,6 +318,9 @@ def test_mean_number_near_critical_load_matches_mpmath(K, gap):
         rho = mpmath.mpf(lam) / 10
         want = sum(k * rho**k for k in range(K + 1)) / sum(rho**k for k in range(K + 1))
         assert abs(mm1k_mean_number(lam, 10.0, K) - want) <= 1e-12 * want
+        weights = [mpmath.mpf(lam / 10.0) ** k for k in range(K + 1)]
+        block = weights[K] / sum(weights)
+        assert abs(mm1k_blocking(lam, 10.0, K) - block) <= 4 * np.spacing(float(block))
 
 
 def _mpmath_late(rho, K, x):
