@@ -7,11 +7,13 @@ around the incumbent.  A call's cost hardly grows with its number of
 points (the finite-buffer on-time kernel is a few dozen numpy calls,
 whatever K), so few wide rounds beat many narrow ones, and golden-section
 or Brent steps, one sequential call each.
-The oracle runs _search, a dense coarse grid followed by shrinking local
+The oracle runs _search, a coarse grid followed by shrinking local
 refinements over lambda and u in [0, 1], which places the quote in a
 per-lambda band [lo, hi] and so keeps the search box rectangular.  It
 searches a stack of markets at once: the coarse grids one by one, each
-refinement round for all of them, with steps set by its resolution.
+refinement round for all of them, with steps set by its resolution.  A
+coarse grid skips each lambda row whose exact profit bound (_mm11_bound)
+is below a value found, so the answers are the full grid's bit for bit.
 
 For the accept-all M/M/1 benchmark the profit is concave in l at fixed
 lambda and the best quote is ln(x)/(mu - lambda),
@@ -85,6 +87,7 @@ _COARSE_POINTS = 400
 _ZOOM_ROUNDS = 4
 _ZOOM_SHRINK = 1.0 / 64.0
 _ZOOM_OFFSETS = np.linspace(-1.0, 1.0, int(round(2.0 / _ZOOM_SHRINK)) + 1)
+_FIRST_ROWS = 4
 _ORACLE_ROUNDS = 10
 _REFINE_SHRINK = 0.25
 _OFFSETS = np.linspace(-1.0, 1.0, int(round(2.0 / _REFINE_SHRINK)) + 1)
@@ -94,8 +97,6 @@ _OFFSETS = np.linspace(-1.0, 1.0, int(round(2.0 / _REFINE_SHRINK)) + 1)
 QUOTE_TOL = 1e-10
 _MAX_NEWTON_STEPS = 100
 
-ORACLE_MODELS = ("mm11", "mm1", "mm1k")
-
 
 def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     if hi <= lo:
@@ -104,39 +105,57 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     return np.linspace(lo, hi, max(n, 2))
 
 
-def _search(objective, band, lam_hi, resolution):
+def _coarse_grid(band, lam_hi, resolution, i):
+    """Market i's coarse grid: rates lam (a column), lo and span with quotes
+    lo + span * u for u in [0, 1], and the lam step."""
+    w_lam = lam_hi / (resolution - 1) or 1.0
+    lam = _axis(0.0, lam_hi, w_lam)[:, None]
+    probe_lo, probe_hi = band(np.linspace(0.0, lam_hi, 32)[:, None], i)
+    widest = float(np.max(np.maximum(probe_hi - probe_lo, 0.0)))
+    lo, hi = band(lam, i)
+    span = np.maximum(hi - lo, 0.0)
+    max_span = float(span.max())
+    step_l = widest / (resolution - 1) or (max_span / _COARSE_POINTS if max_span > 0 else 1.0)
+    u = np.linspace(0.0, 1.0, int(math.ceil(max_span / step_l)) + 1 if max_span > 0 else 1)
+    return lam, lo, span, u, w_lam
+
+
+def _search(objective, bound, band, lam_hi, resolution):
     """The oracle's grid search: for each market i of a stack, maximize
     objective over lam in [0, lam_hi[i]] and l = lo + u (hi - lo), u in [0, 1].
 
     band(lam, rows) returns (lo, hi) and objective(lam, L, rows) profits,
     -inf where infeasible; rows is one market's index, or an index array
-    whose markets are lam's rows.  The coarse grids, with steps of
-    span/(resolution - 1) (in l, of the widest band on a 32-point probe),
-    run one market at a time, so memory stays at one grid.  Each of
+    whose markets are lam's rows.  The coarse grids (_coarse_grid), with
+    steps of span/(resolution - 1) (in l, of the widest band on a 32-point
+    probe), run one market at a time, so memory stays at one grid.  Each
+    evaluates its _FIRST_ROWS rows of highest bound(lam, lo, i) (at least
+    the row's profits), then every row whose bound is not below the best
+    found: no other row holds or ties the maximum.  Each of
     _ORACLE_ROUNDS rounds then runs 9 x 9 points around every found
     incumbent at once, in windows that start at the coarse steps and
     shrink by _REFINE_SHRINK.  The clipped windows are sorted, so a
     duplicate point never changes argmax's first-index tie-break;
-    evaluations count distinct points.  Every round runs: the optimum
-    often lies within a round's spacing of the incumbent, so stopping on a
-    small improvement would stop short.
+    evaluations count the distinct points evaluated.  Every round runs: the
+    optimum often lies within a round's spacing of the incumbent, so
+    stopping on a small improvement would stop short.
     """
     n = len(lam_hi)
     best, evals = np.full(n, -np.inf), np.zeros(n, dtype=int)
     at_lam, at_l, at_u, w_lam, w_u = np.zeros((5, n))
     for i in range(n):
-        w_lam[i] = lam_hi[i] / (resolution - 1) or 1.0
-        lam = _axis(0.0, lam_hi[i], w_lam[i])[:, None]
-        probe_lo, probe_hi = band(np.linspace(0.0, lam_hi[i], 32)[:, None], i)
-        widest = float(np.max(np.maximum(probe_hi - probe_lo, 0.0)))
-        lo, hi = band(lam, i)
-        span = np.maximum(hi - lo, 0.0)
-        max_span = float(span.max())
-        step_l = widest / (resolution - 1) or (max_span / _COARSE_POINTS if max_span > 0 else 1.0)
-        u = np.linspace(0.0, 1.0, int(math.ceil(max_span / step_l)) + 1 if max_span > 0 else 1)
-        L = lo + span * u
-        P = objective(lam, L, i)
-        evals[i] = P.size
+        lam, lo, span, u, w_lam[i] = _coarse_grid(band, lam_hi[i], resolution, i)
+        top = bound(lam, lo, i)[:, 0]
+        P, L = np.full((lam.size, u.size), -np.inf), np.empty((lam.size, u.size))
+        seen = np.zeros(lam.size, dtype=bool)
+        rows = np.argsort(-top, kind="stable")[:_FIRST_ROWS]
+        while rows.size:
+            L[rows] = lo[rows] + span[rows] * u
+            P[rows] = objective(lam[rows], L[rows], i)
+            seen[rows] = True
+            # ~(top < best) also keeps rows whose bound is NaN.
+            rows = np.flatnonzero(~seen & ~(top < P.max()))
+        evals[i] = np.count_nonzero(seen) * u.size
         j, k = divmod(int(np.argmax(P)), u.size)
         if np.isfinite(P[j, k]):
             best[i], at_lam[i], at_l[i], at_u[i] = P[j, k], lam[j, 0], L[j, k], u[k]
@@ -384,6 +403,12 @@ def _mm1k_objective(lam, L, params: MarketParams):
     return _mm1k_value(lam, L, ontime, *_mm1k_load(lam, params), params)
 
 
+def _mm1k_bound(lam, lo, params: MarketParams):
+    """_mm11_bound for _mm1k_objective; the kernel clips ontime to <= 1."""
+    leff, ls = _mm1k_load(lam, params)
+    return leff * ((params.a - params.b2 * lo - lam) / params.b1 - params.m) - params.F * ls
+
+
 def mm1k_profit(policy: Policy, params: MarketParams) -> float:
     """Expected profit rate of the finite-buffer system at a given policy.
 
@@ -414,6 +439,12 @@ def _mm1_objective(lam, L, params: MarketParams):
     the price is negative."""
     p = (params.a - params.b2 * L - lam) / params.b1
     return np.where(p >= -FEASIBILITY_SLACK, _mm1_rate(lam, p, L, params), -np.inf)
+
+
+def _mm1_bound(lam, lo, params: MarketParams):
+    """_mm11_bound for _mm1_objective."""
+    p = (params.a - params.b2 * lo - lam) / params.b1
+    return lam * (p - params.m) - params.F * lam / (params.mu - lam)
 
 
 def _numeric_solution(params: MarketParams, result: dict, extra: dict) -> Solution:
@@ -621,6 +652,18 @@ def _mm11_objective(lam, L, params):
     return np.where(p >= -FEASIBILITY_SLACK, profit, -np.inf)
 
 
+def _mm11_bound(lam, lo, params):
+    """At least _mm11_objective at every quote L >= lo, in floating point
+    too: its operations in order, with the price at lo and the lateness
+    term (>= 0) dropped.  IEEE operations are monotone; exp need not be."""
+    p = (params.a - params.b2 * lo - lam) / params.b1
+    return lam * (params.mu * (p - params.m) - params.F) / (params.mu + lam)
+
+
+_ORACLE = {"mm11": (_mm11_objective, _mm11_bound), "mm1": (_mm1_objective, _mm1_bound),
+           "mm1k": (_mm1k_objective, _mm1k_bound)}
+
+
 def brute_force_oracles(markets, model: str, resolution: int = 160) -> list:
     """brute_force_oracle for each of a list of markets, searched as one
     stack (see _search), with the same answers bit for bit.  The service
@@ -629,8 +672,8 @@ def brute_force_oracles(markets, model: str, resolution: int = 160) -> list:
     each answer takes its model's on-time law at the found policy and reads
     the branch off it, service-binding within 1e-6 of s."""
     markets = list(markets)
-    if model not in ORACLE_MODELS:
-        raise ValueError(f"unknown oracle model {model!r}; pick one of {ORACLE_MODELS}")
+    if model not in _ORACLE:
+        raise ValueError(f"unknown oracle model {model!r}; pick one of {tuple(_ORACLE)}")
     if resolution < 100:
         raise ValueError("oracle resolution must be at least 100")
     if model == "mm11" and any(p.K != 1 for p in markets):
@@ -646,10 +689,11 @@ def brute_force_oracles(markets, model: str, resolution: int = 160) -> list:
             return markets[np.ravel(rows)[0]]
         return SimpleNamespace(**{f: col[rows, None, None] for f, col in columns.items()})
 
-    objective = {"mm11": _mm11_objective, "mm1": _mm1_objective, "mm1k": _mm1k_objective}[model]
+    objective, bound = _ORACLE[model]
     cap = _accept_all_cap if model == "mm1" else _zero_margin_rate
     lam_hi = np.array([cap(p) for p in markets])
     results = _search(lambda lam, L, rows: objective(lam, L, view(rows)),
+                      lambda lam, lo, i: bound(lam, lo, markets[i]),
                       lambda lam, rows: _oracle_band(lam, view(rows), model),
                       lam_hi, resolution)
     for p, r in zip(markets, results):
@@ -661,7 +705,7 @@ def brute_force_oracles(markets, model: str, resolution: int = 160) -> list:
 
 
 def brute_force_oracle(params: MarketParams, model: str, resolution: int = 160) -> Solution:
-    """Dense two-phase grid search (_search) used to certify the solvers.
+    """Two-phase grid search (_search) used to certify the solvers.
 
     model picks the system: "mm11" single-slot, "mm1" accept-all benchmark
     or "mm1k" general finite buffer, with the costs of params (F = c = 0
@@ -669,6 +713,7 @@ def brute_force_oracle(params: MarketParams, model: str, resolution: int = 160) 
     with lambda up to _zero_margin_rate (_accept_all_cap for "mm1"): a
     cap from market fields alone, which lets the coarse grid see thin
     regions of positive profit.  Its accuracy is a function of
-    resolution alone.  The one-market case of brute_force_oracles.
+    resolution alone (pruning rows by exact bounds changes no answer), and
+    evaluations counts the points evaluated.  One brute_force_oracles call.
     """
     return brute_force_oracles([params], model, resolution)[0]

@@ -10,6 +10,7 @@ import pytest
 from leadquote import (
     MarketParams,
     birth_death_stationary,
+    brute_force_oracles,
     erlang_ontime_oracle,
     mm1k_blocking,
     mm1k_ontime_prob,
@@ -74,6 +75,23 @@ def test_full_battery_passes_small():
     assert len(set(names)) == len(names)
     payload = [r.to_dict() for r in results]
     assert all(set(d) == {"name", "ok", "detail"} for d in payload)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_oracle_check_needs_an_instance(n):
+    # With no draws it would certify nothing and still read ok.
+    with pytest.raises(ValueError, match="n >= 1"):
+        check_closed_form_against_oracle(False, n=n)
+    with pytest.raises(ValueError, match="n >= 1"):
+        run_all_checks(n_instances=n)
+
+
+def test_oracle_check_reports_the_points_it_evaluated():
+    result = check_closed_form_against_oracle(True, n=5, seed=4)
+    rng = np.random.default_rng(4)
+    markets = [random_feasible_params(rng, True) for _ in range(5)]
+    evals = sum(sol.diagnostics["evaluations"] for sol in brute_force_oracles(markets, "mm11"))
+    assert result.ok and result.detail.endswith(f", n=5, {evals} oracle evaluations")
 
 
 @pytest.mark.parametrize("seed", [10, 30, 37])

@@ -593,9 +593,12 @@ def test_baseline_diagnostics_are_pinned():
 @pytest.mark.parametrize("model, profit", [("mm11", 0.49385522972485923),
                                            ("mm1", 0.32075846873317115)])
 def test_oracle_diagnostics_are_pinned(model, profit):
+    # Evaluations count the points evaluated: the coarse rows whose bound
+    # reaches a value found, of 160 x 161, plus the rounds.  The full grid
+    # and the rounds read 26050.
     sol = brute_force_oracle(BASE, model)
     assert sol.profit == profit
-    assert sol.diagnostics["evaluations"] == 26050
+    assert sol.diagnostics["evaluations"] == {"mm11": 7330, "mm1": 4450}[model]
     assert sol.diagnostics["refine_rounds"] == 10
     assert len(sol.diagnostics["round_profits"]) == 11
 
@@ -607,8 +610,7 @@ WIDE_AXIS = MarketParams(a=51.079466418997846, b1=6.702225199424642, b2=17.78586
                          F=0.0, c=0.0, K=1)
 
 
-@pytest.mark.parametrize("model", ["mm11", "mm1", "mm1k"])
-def test_batched_oracle_equals_one_search_per_market(model):
+def _batched_oracle_markets(model):
     rng = np.random.default_rng(4)
     markets = [random_params(rng, costs_on=True) for _ in range(5)] + [
         BASE,
@@ -617,8 +619,12 @@ def test_batched_oracle_equals_one_search_per_market(model):
         BASE.with_updates(c=0.0),
         WIDE_AXIS,
     ]
-    if model == "mm1k":
-        markets = [p.with_updates(K=3) for p in markets]
+    return [p.with_updates(K=3) for p in markets] if model == "mm1k" else markets
+
+
+@pytest.mark.parametrize("model", ["mm11", "mm1", "mm1k"])
+def test_batched_oracle_equals_one_search_per_market(model):
+    markets = _batched_oracle_markets(model)
     cap = numeric._zero_margin_rate(WIDE_AXIS)
     assert len(numeric._axis(0.0, cap, cap / 159)) == 161
     batched = brute_force_oracles(markets, model)
@@ -632,8 +638,62 @@ def test_batched_oracle_takes_a_lone_finite_buffer_market():
     # its answer is pinned to the one-market search it replaced.
     (sol,) = brute_force_oracles([BASE.with_updates(K=3)], "mm1k")
     assert sol.profit == 0.32403991905975865
-    assert sol.diagnostics["evaluations"] == 26050
+    assert sol.diagnostics["evaluations"] == 4610  # 26050 on the full coarse grid
     assert sol.diagnostics["refine_rounds"] == 10
+
+
+def _coarse_rows(params, model):
+    """A market's coarse grid as the oracle lays it out: the rates, the
+    band's lo, and the quotes lo + span * u."""
+    cap = (numeric._accept_all_cap if model == "mm1" else numeric._zero_margin_rate)(params)
+    lam, lo, span, u, _ = numeric._coarse_grid(
+        lambda lam, i: numeric._oracle_band(lam, params, model), cap, 160, 0)
+    assert lam[0, 0] == 0.0 and lam[-1, 0] == cap
+    return lam, lo, lo + span * u
+
+
+# cap = mu (1 - STABILITY_MARGIN): the accept-all model's last coarse row
+# sits at the stability margin.
+AT_STABILITY_CAP = BASE.with_updates(m=0.0, b2=1.0, mu=4.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), costs_on=st.booleans(),
+       case=st.sampled_from([("mm11", 1, None), ("mm1", 1, None), ("mm1", 1, AT_STABILITY_CAP),
+                             ("mm1k", 1, None), ("mm1k", 3, None), ("mm1k", 40, None)]))
+def test_oracle_row_bound_holds_at_every_coarse_point(seed, costs_on, case):
+    # No tolerance: each bound repeats its objective's operations with the
+    # price at lo and a term >= 0 dropped, so it holds in floating point.
+    model, K, market = case
+    drawn = (market or random_params(np.random.default_rng(seed), costs_on)).with_updates(K=K)
+    if market is AT_STABILITY_CAP:
+        assert numeric._accept_all_cap(drawn) == drawn.mu * (1.0 - numeric.STABILITY_MARGIN)
+    objective, bound = numeric._ORACLE[model]
+    for zeroed in ({}, {"b2": 0.0}, {"c": 0.0}, {"F": 0.0}):
+        params = drawn.with_updates(**zeroed)
+        lam, lo, L = _coarse_rows(params, model)
+        assert np.all(objective(lam, L, params) <= bound(lam, lo, params))
+
+
+@pytest.mark.parametrize("model", ["mm11", "mm1", "mm1k"])
+def test_pruned_coarse_scan_matches_the_full_grid(model, monkeypatch):
+    markets = _batched_oracle_markets(model)
+    pruned = brute_force_oracles(markets, model)
+    objective = numeric._ORACLE[model][0]
+    for params, sol in zip(markets, pruned):
+        lam, _, L = _coarse_rows(params, model)
+        top = np.max(objective(lam, L, params))
+        assert sol.diagnostics["round_profits"][:1] == ([top] if np.isfinite(top) else [])
+    # An infinite bound prunes no row: the full grid, then the same rounds.
+    monkeypatch.setitem(numeric._ORACLE, model,
+                        (objective, lambda lam, lo, params: np.full(lam.shape, np.inf)))
+    full = brute_force_oracles(markets, model)
+    for sol, ref in zip(pruned, full):
+        assert (sol.policy, sol.profit, sol.feasible, sol.service_level_attained, sol.branch) == (
+            ref.policy, ref.profit, ref.feasible, ref.service_level_attained, ref.branch)
+        assert sol.diagnostics["round_profits"] == ref.diagnostics["round_profits"]
+        assert sol.diagnostics["evaluations"] <= ref.diagnostics["evaluations"]
+    assert full[5].diagnostics["evaluations"] == 26050  # BASE
 
 
 def test_oracle_agrees_with_closed_form():
