@@ -20,7 +20,7 @@ from .certify import run_all_checks
 from .closed_form import Solution, solve_mm11_with_costs
 from .compare import sweep
 from .market import MarketParams, Policy
-from .numeric import solve_mm1_baseline, solve_mm1k_numeric
+from .numeric import MAX_RESOLUTION, MIN_RESOLUTION, solve_mm1_baseline, solve_mm1k_numeric
 from .simulate import simulate, validate
 
 EXIT_OK = 0
@@ -265,8 +265,8 @@ def _run_simulate(args: argparse.Namespace) -> int:
 def _run_validate(args: argparse.Namespace) -> int:
     if args.instances < 1:
         raise ConfigError("--instances must be >= 1")
-    if args.resolution < 100:
-        raise ConfigError("--resolution must be >= 100")
+    if not MIN_RESOLUTION <= args.resolution <= MAX_RESOLUTION:
+        raise ConfigError(f"--resolution must lie in [{MIN_RESOLUTION}, {MAX_RESOLUTION}]")
     results = run_all_checks(n_instances=args.instances,
                              resolution=args.resolution, seed=args.seed)
     for res in results:

@@ -12,8 +12,9 @@ refinements over lambda and u in [0, 1], which places the quote in a
 per-lambda band [lo, hi] and so keeps the search box rectangular.  It
 searches a stack of markets at once: the coarse grids one by one, each
 refinement round for all of them, with steps set by its resolution.  A
-coarse grid skips each lambda row whose exact profit bound (_mm11_bound)
-is below a value found, so the answers are the full grid's bit for bit.
+coarse grid skips each lambda row whose exact profit bound (_row_bound:
+the model's own objective at the row's lowest quote, with c = s = 0) is
+below a value found, so the answers are the full grid's bit for bit.
 
 For the accept-all M/M/1 benchmark the profit is concave in l at fixed
 lambda and the best quote is ln(x)/(mu - lambda),
@@ -92,6 +93,11 @@ _ORACLE_ROUNDS = 10
 _REFINE_SHRINK = 0.25
 _OFFSETS = np.linspace(-1.0, 1.0, int(round(2.0 / _REFINE_SHRINK)) + 1)
 
+# The oracle's resolution range: its coarse grid holds resolution^2
+# points, about 27 MB at the upper bound.
+MIN_RESOLUTION = 100
+MAX_RESOLUTION = 1000
+
 # Quote accuracy of the Newton searches, and a cap on their iterations;
 # they stop on a bracket width or a step size long before the cap.
 QUOTE_TOL = 1e-10
@@ -126,15 +132,15 @@ def _search(objective, bound, band, lam_hi, resolution):
 
     band(lam, rows) returns (lo, hi) and objective(lam, L, rows) profits,
     -inf where infeasible; rows is one market's index, or an index array
-    whose markets are lam's rows.  The coarse grids (_coarse_grid), with
+    whose markets are lam's rows.  bound(lam, lo, i) is at least every
+    profit of its row (_row_bound).  The coarse grids (_coarse_grid), with
     steps of span/(resolution - 1) (in l, of the widest band on a 32-point
     probe), run one market at a time, so memory stays at one grid.  Each
-    evaluates its _FIRST_ROWS rows of highest bound(lam, lo, i) (at least
-    the row's profits), then every row whose bound is not below the best
-    found: no other row holds or ties the maximum.  Each of
-    _ORACLE_ROUNDS rounds then runs 9 x 9 points around every found
-    incumbent at once, in windows that start at the coarse steps and
-    shrink by _REFINE_SHRINK.  The clipped windows are sorted, so a
+    evaluates its _FIRST_ROWS rows of highest bound, then every row whose
+    bound is not below the best found: no other row holds or ties the
+    maximum.  Each of _ORACLE_ROUNDS rounds then runs 9 x 9 points around
+    every found incumbent at once, in windows that start at the coarse
+    steps and shrink by _REFINE_SHRINK.  The clipped windows are sorted, so a
     duplicate point never changes argmax's first-index tie-break;
     evaluations count the distinct points evaluated.  Every round runs: the
     optimum often lies within a round's spacing of the incumbent, so
@@ -403,12 +409,6 @@ def _mm1k_objective(lam, L, params: MarketParams):
     return _mm1k_value(lam, L, ontime, *_mm1k_load(lam, params), params)
 
 
-def _mm1k_bound(lam, lo, params: MarketParams):
-    """_mm11_bound for _mm1k_objective; the kernel clips ontime to <= 1."""
-    leff, ls = _mm1k_load(lam, params)
-    return leff * ((params.a - params.b2 * lo - lam) / params.b1 - params.m) - params.F * ls
-
-
 def mm1k_profit(policy: Policy, params: MarketParams) -> float:
     """Expected profit rate of the finite-buffer system at a given policy.
 
@@ -441,12 +441,6 @@ def _mm1_objective(lam, L, params: MarketParams):
     return np.where(p >= -FEASIBILITY_SLACK, _mm1_rate(lam, p, L, params), -np.inf)
 
 
-def _mm1_bound(lam, lo, params: MarketParams):
-    """_mm11_bound for _mm1_objective."""
-    p = (params.a - params.b2 * lo - lam) / params.b1
-    return lam * (p - params.m) - params.F * lam / (params.mu - lam)
-
-
 def _numeric_solution(params: MarketParams, result: dict, extra: dict) -> Solution:
     """A search's result under closed_form._sale's rule, with its counters.
     The search hands on the attained level and branch at its best point."""
@@ -458,8 +452,10 @@ def _numeric_solution(params: MarketParams, result: dict, extra: dict) -> Soluti
         result["profit"], result["attained"], result["branch"], diagnostics))
 
 
-def pinned_quote(lam, params: MarketParams):
-    """Profit-maximizing quote of the finite-buffer system at each arrival rate.
+def _pinned(lam, params: MarketParams):
+    """Profit-maximizing quote of the finite-buffer system at a vector of
+    rates, with the profit and the on-time probability there and a mask of
+    the rows quoted above lo (r or the cap).
 
     With lo the service-level minimum and hi = (a - lam)/b2 the zero-price
     bound, profit at fixed lam has slope c L_s g(l) - lambda_eff b2/b1 in
@@ -474,17 +470,7 @@ def pinned_quote(lam, params: MarketParams):
     passing below lo means there is no r above lo.  c = 0 or lam = 0 pins
     lo, since profit then never rises in l (with b2 = 0 as well it is flat,
     and the tie goes to the smallest quote); b2 = 0 with c > 0 pins the
-    penalty-elimination cap (profit never falls in l).  Vectorized over
-    lam.
-    """
-    scalar = np.isscalar(lam)
-    quote = _pinned(np.atleast_1d(np.asarray(lam, dtype=float)), params)[0]
-    return float(quote[0]) if scalar else quote
-
-
-def _pinned(lam, params: MarketParams):
-    """pinned_quote at a vector of rates, with the profit and the on-time
-    probability there and a mask of the rows quoted above lo (r or the cap).
+    penalty-elimination cap (profit never falls in l).
 
     The blocking probability and the kernel's per-rate terms are computed
     once for the vector and shared by the quote search, the search for r
@@ -522,7 +508,7 @@ def _pinned(lam, params: MarketParams):
 
 
 def _right_end(lam, lo, log_g, slope, leff, ls, terms, params: MarketParams):
-    """The right end r (see pinned_quote) clipped to the zero-price bound,
+    """The right end r (see _pinned) clipped to the zero-price bound,
     NaN where there is none above lo, for rows with lam > 0 and lo below
     that bound.  log_g and slope are the kernel's values at lo, leff and
     ls the admitted rate and the mean number in system, and terms the
@@ -581,7 +567,7 @@ def _accept_all_cap(params: MarketParams) -> float:
 def solve_mm1k_numeric(params: MarketParams) -> Solution:
     """Optimal policy of the finite-buffer system by a search over lambda.
 
-    The quote at each lambda is pinned by pinned_quote, and _zoom searches
+    The quote at each lambda is pinned by _pinned, and _zoom searches
     lambda alone, up to _zero_margin_rate.  Feasible only when it sells
     (lambda > 0) at a positive profit with a nonnegative price and the
     service level met.  The branch is service-binding where the quote is
@@ -652,16 +638,19 @@ def _mm11_objective(lam, L, params):
     return np.where(p >= -FEASIBILITY_SLACK, profit, -np.inf)
 
 
-def _mm11_bound(lam, lo, params):
-    """At least _mm11_objective at every quote L >= lo, in floating point
-    too: its operations in order, with the price at lo and the lateness
-    term (>= 0) dropped.  IEEE operations are monotone; exp need not be."""
-    p = (params.a - params.b2 * lo - lam) / params.b1
-    return lam * (params.mu * (p - params.m) - params.F) / (params.mu + lam)
+def _row_bound(objective, lam, lo, params: MarketParams):
+    """At least objective(lam, L, params) at every quote L >= lo, in floating
+    point too: the objective itself at lo on the market with c = s = 0.
+    There its lateness term c (...) >= 0 is an exact 0 (the mm1k kernel
+    clips the on-time probability to <= 1) and no service level masks a
+    point, so what is left is the price term, which falls in L since IEEE
+    operations are monotone, less costs that do not depend on L.  A row
+    whose price at lo is below -FEASIBILITY_SLACK reads -inf, as every
+    point of it does."""
+    return objective(lam, lo, params.with_updates(c=0.0, s=0.0))
 
 
-_ORACLE = {"mm11": (_mm11_objective, _mm11_bound), "mm1": (_mm1_objective, _mm1_bound),
-           "mm1k": (_mm1k_objective, _mm1k_bound)}
+_ORACLE = {"mm11": _mm11_objective, "mm1": _mm1_objective, "mm1k": _mm1k_objective}
 
 
 def brute_force_oracles(markets, model: str, resolution: int = 160) -> list:
@@ -674,8 +663,9 @@ def brute_force_oracles(markets, model: str, resolution: int = 160) -> list:
     markets = list(markets)
     if model not in _ORACLE:
         raise ValueError(f"unknown oracle model {model!r}; pick one of {tuple(_ORACLE)}")
-    if resolution < 100:
-        raise ValueError("oracle resolution must be at least 100")
+    if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"oracle resolution must lie in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], "
+                         f"got {resolution}")
     if model == "mm11" and any(p.K != 1 for p in markets):
         raise ValueError("single-slot oracle needs K = 1")
     if model == "mm1k" and len(markets) > 1:
@@ -689,11 +679,11 @@ def brute_force_oracles(markets, model: str, resolution: int = 160) -> list:
             return markets[np.ravel(rows)[0]]
         return SimpleNamespace(**{f: col[rows, None, None] for f, col in columns.items()})
 
-    objective, bound = _ORACLE[model]
+    objective = _ORACLE[model]
     cap = _accept_all_cap if model == "mm1" else _zero_margin_rate
     lam_hi = np.array([cap(p) for p in markets])
     results = _search(lambda lam, L, rows: objective(lam, L, view(rows)),
-                      lambda lam, lo, i: bound(lam, lo, markets[i]),
+                      lambda lam, lo, i: _row_bound(objective, lam, lo, markets[i]),
                       lambda lam, rows: _oracle_band(lam, view(rows), model),
                       lam_hi, resolution)
     for p, r in zip(markets, results):
@@ -713,7 +703,8 @@ def brute_force_oracle(params: MarketParams, model: str, resolution: int = 160) 
     with lambda up to _zero_margin_rate (_accept_all_cap for "mm1"): a
     cap from market fields alone, which lets the coarse grid see thin
     regions of positive profit.  Its accuracy is a function of
-    resolution alone (pruning rows by exact bounds changes no answer), and
-    evaluations counts the points evaluated.  One brute_force_oracles call.
+    resolution alone, in [MIN_RESOLUTION, MAX_RESOLUTION] (pruning rows by
+    exact bounds changes no answer), and evaluations counts the points
+    evaluated.  One brute_force_oracles call.
     """
     return brute_force_oracles([params], model, resolution)[0]

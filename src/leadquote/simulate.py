@@ -12,7 +12,9 @@ discarded): counts are classified by arrival time, the time-average number
 in system integrates occupancy over the window, and every estimate carries
 a 95% half-width from 20 batch means.  The event loop hands its jobs over
 one arrival chunk at a time; each chunk is added into the per-batch sums
-and dropped, so memory does not grow with the horizon.
+and dropped, so memory does not grow with the horizon.  One estimator
+(_estimates) turns those sums into the window's estimates and, batch by
+batch, into the batch means.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ _CHUNK = 1 << 16
 # The 3-sigma rule's two-sided false-alarm rate under a normal law,
 # 2 (1 - Phi(3)) = 0.27 %, which validate's binomial tails keep.
 FALSE_ALARM = math.erfc(3.0 / math.sqrt(2.0))
+# The t critical value of a 95% half-width from N_BATCHES batch means.
+_TCRIT = float(stdtrit(N_BATCHES - 1, 0.975))
 
 
 @dataclass(frozen=True)
@@ -140,8 +144,7 @@ def _drain(policy: Policy, params: MarketParams, horizon: float, seed: int):
 
 def _batch_ci(values: np.ndarray) -> float:
     spread = float(np.std(values, ddof=1))
-    tcrit = float(stdtrit(len(values) - 1, 0.975))
-    return float(tcrit * spread / math.sqrt(len(values)))
+    return float(_TCRIT * spread / math.sqrt(N_BATCHES))
 
 
 def _batch_areas(arr: np.ndarray, dep: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -183,6 +186,24 @@ def _batch_sums(arr: np.ndarray, dep: np.ndarray, blk: np.ndarray,
     ])
 
 
+def _estimates(sums: np.ndarray, width: float, policy: Policy, params: MarketParams,
+               empty_share: float) -> tuple:
+    """SimReport's seven estimates, in its order, from sums laid out as
+    _batch_sums's rows (per batch, or summed over the window) over periods
+    of the given width.  A period that admitted no job has a mean sojourn
+    of 0 and an on-time share of empty_share: 1 for the whole window, where
+    no job was late, and 0 for a batch."""
+    adm, blk, served, sojourn_sums, ontime_sums, excess_sums, areas = sums
+    admitted = np.maximum(adm, 1.0)
+    sojourn = sojourn_sums / admitted
+    ontime = np.where(adm > 0, ontime_sums / admitted, empty_share)
+    number, through = areas / width, served / width
+    revenue = through * (policy.p - params.m) - params.F * number
+    return (blk / (adm + blk), number, through, sojourn, ontime,
+            revenue - params.c * through * (1.0 - ontime) * sojourn,
+            revenue - params.c * excess_sums / width)
+
+
 def simulate(policy: Policy, params: MarketParams, horizon: float, seed: int = 0) -> SimReport:
     """Simulate the finite-buffer queue under a fixed policy.
 
@@ -190,6 +211,8 @@ def simulate(policy: Policy, params: MarketParams, horizon: float, seed: int = 0
     estimates queueing metrics and two profit-rate estimators: the analytic
     structure with empirical factors (throughput * P(late) * mean sojourn
     for the lateness exposure) and the exact per-job lateness (W - l)+.
+    Each estimate is _estimates over the window, with the half-width of
+    the same estimator's batch means.
     """
     if policy.lam <= 0:
         raise ValueError("simulation needs a positive demand rate")
@@ -198,53 +221,21 @@ def simulate(policy: Policy, params: MarketParams, horizon: float, seed: int = 0
     t0 = WARMUP_FRACTION * horizon
     window = horizon - t0
     edges = np.linspace(t0, horizon, N_BATCHES + 1)
-    width = window / N_BATCHES
     sums = np.zeros((7, N_BATCHES))
     for arr, dep, blk in _drain(policy, params, horizon, seed):
         sums += _batch_sums(arr, dep, blk, edges, policy.l)
-    adm_counts, blk_counts, served_counts, sojourn_sums, ontime_sums, excess_sums, areas = sums
-
-    n_adm = int(adm_counts.sum())
-    n_blocked = int(blk_counts.sum())
+    total = sums.sum(axis=1)
+    n_adm, n_blocked, n_served = (int(v) for v in total[:3])
     n_arrivals = n_adm + n_blocked
     if n_arrivals == 0:
         raise ValueError("no arrivals in the measurement window; enlarge the horizon")
-    all_counts = adm_counts + blk_counts
-    if np.any(all_counts == 0):
+    if np.any(sums[0] + sums[1] == 0):
         raise ValueError("a batch saw no arrivals; enlarge the horizon")
-    n_served = int(served_counts.sum())
-
-    p_margin = policy.p - params.m
-    F, c = params.F, params.c
-
-    b_block = blk_counts / all_counts
-    b_number = areas / width
-    b_through = served_counts / width
-    safe_adm = np.maximum(adm_counts, 1.0)
-    b_sojourn = sojourn_sums / safe_adm
-    b_ontime = ontime_sums / safe_adm
-    b_profit_factored = b_through * p_margin - F * b_number - c * b_through * (1.0 - b_ontime) * b_sojourn
-    b_profit_exact = b_through * p_margin - F * b_number - c * excess_sums / width
-
-    throughput = n_served / window
-    mean_number = float(areas.sum()) / window
-    mean_sojourn = float(sojourn_sums.sum()) / n_adm if n_adm else 0.0
-    ontime = float(ontime_sums.sum()) / n_adm if n_adm else 1.0
-    profit_factored = throughput * p_margin - F * mean_number - c * throughput * (1.0 - ontime) * mean_sojourn
-    profit_exact = throughput * p_margin - F * mean_number - c * float(excess_sums.sum()) / window
-
+    batches = _estimates(sums, window / N_BATCHES, policy, params, 0.0)
     return SimReport(
-        n_arrivals=n_arrivals,
-        n_blocked=n_blocked,
-        n_served=n_served,
-        n_in_system_end=n_adm - n_served,
-        block_prob=Estimate(n_blocked / n_arrivals, _batch_ci(b_block)),
-        mean_number=Estimate(mean_number, _batch_ci(b_number)),
-        throughput=Estimate(throughput, _batch_ci(b_through)),
-        mean_sojourn=Estimate(mean_sojourn, _batch_ci(b_sojourn)),
-        ontime_prob=Estimate(ontime, _batch_ci(b_ontime)),
-        profit_factored_lateness=Estimate(profit_factored, _batch_ci(b_profit_factored)),
-        profit_exact_lateness=Estimate(profit_exact, _batch_ci(b_profit_exact)),
+        n_arrivals, n_blocked, n_served, n_adm - n_served,
+        *(Estimate(float(value), _batch_ci(means)) for value, means in
+          zip(_estimates(total, window, policy, params, 1.0), batches)),
         seed=seed,
         horizon=horizon,
     )
@@ -261,7 +252,6 @@ def validate(report: SimReport, params: MarketParams, policy: Policy) -> Validat
     tails, at the 3-sigma rule's false-alarm rate FALSE_ALARM.
     """
     lam, mu, K, l = policy.lam, params.mu, params.K, policy.l
-    tcrit = float(stdtrit(N_BATCHES - 1, 0.975))
     n_admitted = report.n_arrivals - report.n_blocked
     analytic = {
         "block_prob": (report.block_prob, mm1k_blocking(lam, mu, K), report.n_arrivals),
@@ -273,7 +263,7 @@ def validate(report: SimReport, params: MarketParams, policy: Policy) -> Validat
     }
     checks = []
     for name, (est, truth, trials) in analytic.items():
-        sigma = est.halfwidth / tcrit
+        sigma = est.halfwidth / _TCRIT
         if sigma == 0.0 and trials is not None:
             ok = _binomial_agrees(round(est.value * trials), trials, float(truth))
         else:

@@ -295,6 +295,17 @@ def test_validate_guards(capsys):
     assert main(["validate", "--resolution", "50"]) == EXIT_CONFIG
 
 
+def test_validate_rejects_a_resolution_above_the_cap(capsys, monkeypatch):
+    import leadquote.cli as cli
+
+    def no_battery(**_):
+        raise AssertionError("the battery must not run")
+
+    monkeypatch.setattr(cli, "run_all_checks", no_battery)
+    assert main(["validate", "--resolution", "1001"]) == EXIT_CONFIG
+    assert "[100, 1000]" in json.loads(capsys.readouterr().err)["error"]
+
+
 @pytest.mark.parametrize("costs", ["on", "off"])
 @pytest.mark.parametrize("model", ["mm11", "mm1", "mm1k"])
 def test_solve_runs_the_library_solver_of_each_model(capsys, model, costs):

@@ -31,7 +31,7 @@ from leadquote import (
 from leadquote import numeric
 from leadquote.certify import random_params
 from leadquote.closed_form import quote_level
-from leadquote.numeric import pinned_quote
+from leadquote.numeric import _pinned
 from leadquote.queueing import erlang_quantile_bracket
 
 BASE = MarketParams(a=30.0, b1=4.0, b2=20.0, mu=10.0, m=5.0, s=0.95, F=2.0, c=10.0, K=1)
@@ -158,7 +158,7 @@ def _interval_inside_mode_bound_case():
 )
 def test_pinned_quote_is_the_best_quote_in_band(params, lam):
     lo, scanned, step, profit = _best_scanned_quote(lam, params)
-    quote = pinned_quote(lam, params)
+    (quote,) = _pinned(np.atleast_1d(lam), params)[0]
     assert abs(quote - scanned) <= step
     assert profit(quote) >= profit(scanned) - 1e-12 * (1.0 + abs(profit(scanned)))
     if params.c == 0.0:
@@ -172,7 +172,7 @@ def test_pinned_quote_case_sits_left_of_the_mode():
     lo = min_leadtime_for_service(20.0, params)
     _, _, slope = mm1k_ontime_prob(20.0, params.mu, params.K, lo, log_density=True)
     assert slope > 0.0
-    assert pinned_quote(20.0, params) > lo
+    assert _pinned(np.atleast_1d(20.0), params)[0][0] > lo
 
 
 @pytest.mark.parametrize("b2,s", [(20.0, 0.95), (1.0, 0.95), (1.0, 0.5), (0.5, 0.2)])
@@ -180,7 +180,7 @@ def test_pinned_quote_single_slot_closed_form(b2, s):
     params = BASE.with_updates(b2=b2, s=s)
     want = math.log(max(1.0 / (1.0 - s), params.b1 * params.c / b2)) / params.mu
     lams = np.array([0.5, 3.0, 9.0])
-    assert np.allclose(pinned_quote(lams, params), want, rtol=0.0, atol=1e-9)
+    assert np.allclose(_pinned(np.atleast_1d(lams), params)[0], want, rtol=0.0, atol=1e-9)
 
 
 def test_finite_buffer_search_is_one_dimensional():
@@ -576,6 +576,12 @@ def test_oracle_guards():
         brute_force_oracle(BASE.with_updates(K=4), "mm11")
 
 
+def test_oracle_rejects_a_resolution_above_the_cap():
+    # The coarse grid holds resolution^2 points: 27 MB at 1000, 107 MB at 2000.
+    with pytest.raises(ValueError, match=r"\[100, 1000\], got 1001"):
+        brute_force_oracles([BASE, BASE.with_updates(a=40.0)], "mm11", resolution=1001)
+
+
 def test_baseline_diagnostics_are_pinned():
     # 401 coarse rates plus 4 rounds of 129, the finite-buffer schedule;
     # the bench reads these keys.  Each profit is at least the one that
@@ -662,31 +668,31 @@ AT_STABILITY_CAP = BASE.with_updates(m=0.0, b2=1.0, mu=4.0)
        case=st.sampled_from([("mm11", 1, None), ("mm1", 1, None), ("mm1", 1, AT_STABILITY_CAP),
                              ("mm1k", 1, None), ("mm1k", 3, None), ("mm1k", 40, None)]))
 def test_oracle_row_bound_holds_at_every_coarse_point(seed, costs_on, case):
-    # No tolerance: each bound repeats its objective's operations with the
-    # price at lo and a term >= 0 dropped, so it holds in floating point.
+    # No tolerance: each bound is its objective at lo with c = s = 0, where
+    # the lateness term is an exact 0, so it holds in floating point.
     model, K, market = case
     drawn = (market or random_params(np.random.default_rng(seed), costs_on)).with_updates(K=K)
     if market is AT_STABILITY_CAP:
         assert numeric._accept_all_cap(drawn) == drawn.mu * (1.0 - numeric.STABILITY_MARGIN)
-    objective, bound = numeric._ORACLE[model]
+    objective = numeric._ORACLE[model]
     for zeroed in ({}, {"b2": 0.0}, {"c": 0.0}, {"F": 0.0}):
         params = drawn.with_updates(**zeroed)
         lam, lo, L = _coarse_rows(params, model)
-        assert np.all(objective(lam, L, params) <= bound(lam, lo, params))
+        assert np.all(objective(lam, L, params) <= numeric._row_bound(objective, lam, lo, params))
 
 
 @pytest.mark.parametrize("model", ["mm11", "mm1", "mm1k"])
 def test_pruned_coarse_scan_matches_the_full_grid(model, monkeypatch):
     markets = _batched_oracle_markets(model)
     pruned = brute_force_oracles(markets, model)
-    objective = numeric._ORACLE[model][0]
+    objective = numeric._ORACLE[model]
     for params, sol in zip(markets, pruned):
         lam, _, L = _coarse_rows(params, model)
         top = np.max(objective(lam, L, params))
         assert sol.diagnostics["round_profits"][:1] == ([top] if np.isfinite(top) else [])
     # An infinite bound prunes no row: the full grid, then the same rounds.
-    monkeypatch.setitem(numeric._ORACLE, model,
-                        (objective, lambda lam, lo, params: np.full(lam.shape, np.inf)))
+    monkeypatch.setattr(numeric, "_row_bound",
+                        lambda objective, lam, lo, params: np.full(lam.shape, np.inf))
     full = brute_force_oracles(markets, model)
     for sol, ref in zip(pruned, full):
         assert (sol.policy, sol.profit, sol.feasible, sol.service_level_attained, sol.branch) == (

@@ -35,6 +35,7 @@ from leadquote.simulate import (
     SimReport,
     _batch_areas,
     _batch_ci,
+    _batch_sums,
     _drain,
 )
 
@@ -98,6 +99,34 @@ def test_verdict_passes_a_run_that_blocks_no_arrival():
     assert (report.n_blocked, report.n_arrivals) == (0, 1623)
     assert block.name == "block_prob" and block.sigma == 0.0 and block.analytic > 0.0
     assert verdict.ok
+
+
+def test_a_run_that_admits_no_arrival_keeps_its_window_estimates():
+    # At mu = 1e-6 the job admitted in the warm-up never leaves, so all 468
+    # window arrivals are blocked.  With no admitted job, the window's
+    # on-time share reads 1 (no job was late) and its mean sojourn 0; the
+    # one job in system costs F = 2.
+    params, policy, horizon = PARAMS_K3.with_updates(mu=1e-6, K=1), Policy(p=1.0, l=0.5, lam=5.0), 100.0
+    report = simulate(policy, params, horizon=horizon, seed=1)
+    assert (report.n_arrivals, report.n_blocked, report.n_served) == (468, 468, 0)
+    assert report.block_prob == Estimate(1.0, 0.0)
+    assert report.mean_number == Estimate(1.0, 0.0)
+    assert report.mean_sojourn == Estimate(0.0, 0.0)
+    assert report.ontime_prob == Estimate(1.0, 0.0)
+    assert report.profit_factored_lateness == report.profit_exact_lateness == Estimate(-2.0, 0.0)
+
+
+def test_a_batch_that_admits_no_arrival_reads_an_ontime_share_of_0():
+    # A 20-unit mean service on 19-unit batches: some batches admit no job,
+    # and their on-time share enters the half-width as 0.
+    params, policy, horizon = PARAMS_K3.with_updates(mu=0.05, K=1), Policy(p=1.0, l=20.0, lam=1.0), 400.0
+    report = simulate(policy, params, horizon=horizon, seed=4)
+    edges = np.linspace(WARMUP_FRACTION * horizon, horizon, N_BATCHES + 1)
+    admitted, _, _, _, ontime, _, _ = sum(_batch_sums(arr, dep, blk, edges, policy.l)
+                                          for arr, dep, blk in _drain(policy, params, horizon, 4))
+    assert 0 < np.count_nonzero(admitted == 0) < N_BATCHES
+    shares = np.where(admitted > 0, ontime / np.maximum(admitted, 1.0), 0.0)
+    assert report.ontime_prob == Estimate(0.5333333333333333, _batch_ci(shares))
 
 
 @pytest.mark.parametrize("name, l, ok", [("block_prob", 0.3, False),
