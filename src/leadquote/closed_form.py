@@ -13,11 +13,12 @@ benchmark uses it with mu - lambda for mu.  The cost-free problem is the
 costed one at F = c = 0, where the service level binds: l* = z/mu with
 z = ln(1/(1-s)).
 
-Then lambda* = -mu + sqrt(mu^2 + R) for the margin term R, and the price
-rides the binding demand constraint.  R <= 0 puts lambda* at 0, and a
-solve that sells nothing at a positive profit is infeasible: _sale holds
-that rule for every solver and feasibility gate, and its null policy is
-_infeasible's.
+Then lambda* solves lambda^2 + 2 mu lambda = R for the margin term R,
+taken as R/(mu + sqrt(mu^2 + R)), which forms no difference of nearly
+equal terms, and the price rides the binding demand constraint.  R <= 0
+puts lambda* at 0, and a solve that sells nothing at a positive profit is
+infeasible: _sale holds that rule for every solver and feasibility gate,
+and its null policy is _infeasible's.
 """
 
 from __future__ import annotations
@@ -60,17 +61,6 @@ class Solution:
             "branch": self.branch,
             "diagnostics": dict(self.diagnostics),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Solution":
-        return cls(
-            policy=Policy.from_dict(d["policy"]),
-            profit=float(d["profit"]),
-            feasible=bool(d["feasible"]),
-            service_level_attained=float(d["service_level_attained"]),
-            branch=str(d["branch"]),
-            diagnostics=dict(d.get("diagnostics", {})),
-        )
 
 
 def _require_single_slot(params: MarketParams, who: str) -> None:
@@ -150,7 +140,7 @@ def quote_level(params: MarketParams):
 def solve_mm11_no_costs(params: MarketParams) -> Solution:
     """Optimal policy for the single-slot system, pure revenue objective:
     the costed problem at F = c = 0, where the service level binds
-    (l* = z/mu) and lambda* = -mu + sqrt(mu^2 + a*mu - b2*z - m*mu*b1).
+    (l* = z/mu) and _sale_at sells at the margin R = mu*(a - b1*m) - b2*z.
     """
     _require_single_slot(params, "solve_mm11_no_costs")
     return solve_mm11_with_costs(params.with_updates(F=0.0, c=0.0))
@@ -159,8 +149,8 @@ def solve_mm11_no_costs(params: MarketParams) -> Solution:
 def solve_mm11_with_costs(params: MarketParams) -> Solution:
     """Optimal policy for the single-slot system with holding and lateness costs.
 
-    The quote is l* = ln(x)/mu from quote_level, and _sale_at sells
-    lambda* = -mu + sqrt(mu^2 + a*mu - mu*b2*l* - mu*b1*m - F*b1 - b1*c*exp(-mu*l*)).
+    The quote is l* = ln(x)/mu from quote_level, and _sale_at sells at the
+    margin R = mu*(a - b2*l* - b1*m) - b1*(F + c*exp(-mu*l*)).
     """
     _require_single_slot(params, "solve_mm11_with_costs")
     b1, b2, mu, c, s = params.b1, params.b2, params.mu, params.c, params.s
@@ -182,13 +172,16 @@ def solve_mm11_with_costs(params: MarketParams) -> Solution:
 
 
 def _sale_at(params: MarketParams, l: float, attained, branch, diagnostics: dict) -> Solution:
-    """The closed form's best sale at quote l under _sale's rule: lambda =
-    -mu + sqrt(mu^2 + R) for the margin term R > 0, else 0.  attained, branch
-    and diagnostics describe the quote; the gates read only feasible."""
+    """The closed form's best sale at quote l under _sale's rule: for the
+    margin R = mu*(a - b2*l - b1*m) - b1*(F + c*exp(-mu*l)) > 0, lambda =
+    R/(mu + sqrt(mu^2 + R)), the positive root of lambda^2 + 2 mu lambda = R,
+    else 0.  That form is -mu + sqrt(mu^2 + R) without its cancellation, so
+    lambda keeps R's own relative accuracy at any mu.  attained, branch and
+    diagnostics describe the quote; the gates read only feasible."""
     a, b1, b2, mu, m = params.a, params.b1, params.b2, params.mu, params.m
-    penalty_residual = params.c * math.exp(-mu * l)
-    radicand = mu * mu + a * mu - mu * b2 * l - mu * b1 * m - params.F * b1 - b1 * penalty_residual
-    lam = -mu + math.sqrt(radicand) if radicand > mu * mu else 0.0
+    margin = mu * (a - b2 * l - b1 * m) - b1 * (params.F + params.c * math.exp(-mu * l))
+    radicand = mu * mu + margin
+    lam = margin / (mu + math.sqrt(radicand)) if margin > 0.0 else 0.0
     return _sale(params, lam, l, diagnostics, lambda policy: (
         mm11_profit(policy, params), attained, branch, {**diagnostics, "discriminant": radicand}))
 

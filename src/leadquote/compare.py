@@ -8,7 +8,6 @@ Tables are laid out rows = b2 descending, columns = a ascending.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .closed_form import solve_mm11_no_costs, solve_mm11_with_costs
@@ -81,9 +80,6 @@ class GainTable:
             "cells": cells,
             "notes": dict(self.notes),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def sweep(base: MarketParams, a_values, b2_values, costs_on: bool, jobs: int = 1) -> GainTable:

@@ -8,7 +8,6 @@ quote l is p = (a - b2*l - lambda)/b1.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, replace
@@ -100,13 +99,6 @@ class MarketParams:
     def from_dict(cls, d: dict) -> "MarketParams":
         return cls(**{f: d[f] for f in ("a", "b1", "b2", "mu", "m", "s", "F", "c", "K") if f in d})
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MarketParams":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class Policy:
@@ -127,10 +119,6 @@ class Policy:
 
     def to_dict(self) -> dict:
         return {"p": self.p, "l": self.l, "lambda": self.lam}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Policy":
-        return cls(p=float(d["p"]), l=float(d["l"]), lam=float(d["lambda"]))
 
 
 def expected_demand(p: float, l: float, params: MarketParams) -> float:

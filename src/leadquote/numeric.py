@@ -7,14 +7,15 @@ around the incumbent.  A call's cost hardly grows with its number of
 points (the finite-buffer on-time kernel is a few dozen numpy calls,
 whatever K), so few wide rounds beat many narrow ones, and golden-section
 or Brent steps, one sequential call each.
-The oracle runs _search, a coarse grid followed by shrinking local
-refinements over lambda and u in [0, 1], which places the quote in a
-per-lambda band [lo, hi] and so keeps the search box rectangular.  It
-searches a stack of markets at once: the coarse grids one by one, each
-refinement round for all of them, with steps set by its resolution.  A
-coarse grid skips each lambda row whose exact profit bound (_row_bound:
-the model's own objective at the row's lowest quote, with c = s = 0) is
-below a value found, so the answers are the full grid's bit for bit.
+The oracle runs _search: a coarse grid of resolution rates lambda by
+resolution band fractions u in [0, 1], which places the quote lo + u
+(hi - lo) in a per-lambda band [lo, hi] and so keeps the search box
+rectangular, followed by shrinking local refinements.  It searches a
+stack of markets at once: the coarse grids one by one, each refinement
+round for all of them.  A coarse grid skips each lambda row whose exact
+profit bound (_row_bound: the model's own objective at the row's lowest
+quote, with c = s = 0) is below a value found, so the answers are the
+full grid's bit for bit.
 
 For the accept-all M/M/1 benchmark the profit is concave in l at fixed
 lambda and the best quote is ln(x)/(mu - lambda),
@@ -104,26 +105,15 @@ QUOTE_TOL = 1e-10
 _MAX_NEWTON_STEPS = 100
 
 
-def _axis(lo: float, hi: float, step: float) -> np.ndarray:
-    if hi <= lo:
-        return np.array([lo])
-    n = int(math.ceil((hi - lo) / step)) + 1
-    return np.linspace(lo, hi, max(n, 2))
-
-
 def _coarse_grid(band, lam_hi, resolution, i):
-    """Market i's coarse grid: rates lam (a column), lo and span with quotes
-    lo + span * u for u in [0, 1], and the lam step."""
-    w_lam = lam_hi / (resolution - 1) or 1.0
-    lam = _axis(0.0, lam_hi, w_lam)[:, None]
-    probe_lo, probe_hi = band(np.linspace(0.0, lam_hi, 32)[:, None], i)
-    widest = float(np.max(np.maximum(probe_hi - probe_lo, 0.0)))
+    """Market i's coarse grid: resolution rates lam in [0, lam_hi] (a
+    column), lo and span, and resolution band fractions u in [0, 1], with
+    quotes lo + span * u; an empty axis (lam_hi 0, or no band open) is the
+    single point 0."""
+    lam = np.linspace(0.0, lam_hi, resolution if lam_hi > 0 else 1)[:, None]
     lo, hi = band(lam, i)
     span = np.maximum(hi - lo, 0.0)
-    max_span = float(span.max())
-    step_l = widest / (resolution - 1) or (max_span / _COARSE_POINTS if max_span > 0 else 1.0)
-    u = np.linspace(0.0, 1.0, int(math.ceil(max_span / step_l)) + 1 if max_span > 0 else 1)
-    return lam, lo, span, u, w_lam
+    return lam, lo, span, np.linspace(0.0, 1.0, resolution if span.max() > 0 else 1)
 
 
 def _search(objective, bound, band, lam_hi, resolution):
@@ -133,24 +123,26 @@ def _search(objective, bound, band, lam_hi, resolution):
     band(lam, rows) returns (lo, hi) and objective(lam, L, rows) profits,
     -inf where infeasible; rows is one market's index, or an index array
     whose markets are lam's rows.  bound(lam, lo, i) is at least every
-    profit of its row (_row_bound).  The coarse grids (_coarse_grid), with
-    steps of span/(resolution - 1) (in l, of the widest band on a 32-point
-    probe), run one market at a time, so memory stays at one grid.  Each
-    evaluates its _FIRST_ROWS rows of highest bound, then every row whose
-    bound is not below the best found: no other row holds or ties the
-    maximum.  Each of _ORACLE_ROUNDS rounds then runs 9 x 9 points around
-    every found incumbent at once, in windows that start at the coarse
-    steps and shrink by _REFINE_SHRINK.  The clipped windows are sorted, so a
-    duplicate point never changes argmax's first-index tie-break;
+    profit of its row (_row_bound).  The coarse grids (_coarse_grid: one
+    band call each, for resolution rates by resolution band fractions) run
+    one market at a time, so memory stays at one grid.  Each evaluates its
+    _FIRST_ROWS rows of highest bound, then every row whose bound is not
+    below the best found: no other row holds or ties the maximum.  Each of
+    _ORACLE_ROUNDS rounds then runs 9 x 9 points around every found
+    incumbent at once, in windows that start at the coarse steps,
+    lam_hi/(resolution - 1) and 1/(resolution - 1) (0 on a single-point
+    axis), and shrink by _REFINE_SHRINK.  The clipped windows are sorted,
+    so a duplicate point never changes argmax's first-index tie-break;
     evaluations count the distinct points evaluated.  Every round runs: the
     optimum often lies within a round's spacing of the incumbent, so
     stopping on a small improvement would stop short.
     """
     n = len(lam_hi)
     best, evals = np.full(n, -np.inf), np.zeros(n, dtype=int)
-    at_lam, at_l, at_u, w_lam, w_u = np.zeros((5, n))
+    at_lam, at_l, at_u, w_u = np.zeros((4, n))
+    w_lam = lam_hi / (resolution - 1)
     for i in range(n):
-        lam, lo, span, u, w_lam[i] = _coarse_grid(band, lam_hi[i], resolution, i)
+        lam, lo, span, u = _coarse_grid(band, lam_hi[i], resolution, i)
         top = bound(lam, lo, i)[:, 0]
         P, L = np.full((lam.size, u.size), -np.inf), np.empty((lam.size, u.size))
         seen = np.zeros(lam.size, dtype=bool)
@@ -224,7 +216,7 @@ def _zoom(evaluate, lam_hi):
             best.update(profit=float(profit[i]), lam=float(lam[i]), l=float(quote[i]),
                         attained=float(attained[i]), penalty=bool(penalty[i]))
 
-    consider(_axis(0.0, lam_hi, step))
+    consider(np.linspace(0.0, lam_hi, _COARSE_POINTS + 1 if lam_hi > 0 else 1))
     round_profits = [best["profit"]]
     rounds_used = 0
     for _ in range(_ZOOM_ROUNDS if lam_hi > 0 else 0):
@@ -695,7 +687,8 @@ def brute_force_oracles(markets, model: str, resolution: int = 160) -> list:
 
 
 def brute_force_oracle(params: MarketParams, model: str, resolution: int = 160) -> Solution:
-    """Two-phase grid search (_search) used to certify the solvers.
+    """Two-phase grid search (_search) used to certify the solvers: a
+    resolution x resolution coarse grid, then refinement rounds.
 
     model picks the system: "mm11" single-slot, "mm1" accept-all benchmark
     or "mm1k" general finite buffer, with the costs of params (F = c = 0

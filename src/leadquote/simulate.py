@@ -8,8 +8,9 @@ from one seed, so runs are reproducible bit-for-bit and the streams stay
 aligned regardless of blocking decisions.
 
 Estimates are taken over the post-warm-up window (first 5% of the horizon
-discarded): counts are classified by arrival time, the time-average number
-in system integrates occupancy over the window, and every estimate carries
+discarded): counts are classified by arrival time, the time-average
+numbers in system and of late jobs integrate over the window, warm-up
+arrivals still in system included, and every estimate carries
 a 95% half-width from 20 batch means.  The event loop hands its jobs over
 one arrival chunk at a time; each chunk is added into the per-batch sums
 and dropped, so memory does not grow with the horizon.  One estimator
@@ -54,9 +55,6 @@ class Estimate:
 
     value: float
     halfwidth: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -148,22 +146,25 @@ def _batch_ci(values: np.ndarray) -> float:
 
 
 def _batch_areas(arr: np.ndarray, dep: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Integral of the number in system over each batch.  Arrivals and
-    departures are both sorted, so the jobs in system during a batch (those
-    departing after its left edge and arriving before its right edge) form
-    one contiguous index range."""
+    """Integral over each batch of the number of jobs whose interval
+    [arr, dep] covers the time: the number in system, or with arr + l for
+    arr the number of late jobs.  Both arrays are sorted, so the jobs whose
+    interval can meet a batch (those ending after its left edge and
+    starting before its right edge) form one contiguous index range; an
+    empty interval (a job on time) adds 0."""
     first = np.searchsorted(dep, edges[:-1], "right")
     stop = np.searchsorted(arr, edges[1:])
-    return np.array([float((np.minimum(dep[i:k], hi) - np.maximum(arr[i:k], lo)).sum())
+    return np.array([float(np.maximum(np.minimum(dep[i:k], hi) - np.maximum(arr[i:k], lo), 0.0).sum())
                      for i, k, lo, hi in zip(first, stop, edges[:-1], edges[1:])])
 
 
 def _batch_sums(arr: np.ndarray, dep: np.ndarray, blk: np.ndarray,
                 edges: np.ndarray, l: float) -> np.ndarray:
     """One chunk's share of each per-batch sum, one row each: admitted,
-    blocked and served counts, sojourn, on-time and lateness-excess sums
-    (each by arrival time, over arrivals in the window), and the occupancy
-    area, to which warm-up arrivals still in system after t0 add too."""
+    blocked and served counts, sojourn and on-time sums (each by arrival
+    time, over arrivals in the window), and the lateness and occupancy
+    areas, the integrals of the number of late jobs and of jobs in system,
+    to which warm-up arrivals still in system after t0 add too."""
     t0, horizon = edges[0], edges[-1]
     width = (horizon - t0) / N_BATCHES
 
@@ -181,7 +182,7 @@ def _batch_sums(arr: np.ndarray, dep: np.ndarray, blk: np.ndarray,
         np.bincount(adm_bin, weights=d_w <= horizon, minlength=N_BATCHES),
         np.bincount(adm_bin, weights=sojourn, minlength=N_BATCHES),
         np.bincount(adm_bin, weights=sojourn <= l, minlength=N_BATCHES),
-        np.bincount(adm_bin, weights=np.maximum(sojourn - l, 0.0), minlength=N_BATCHES),
+        _batch_areas(arr + l, dep, edges),
         _batch_areas(arr, dep, edges),
     ])
 
@@ -193,7 +194,7 @@ def _estimates(sums: np.ndarray, width: float, policy: Policy, params: MarketPar
     of the given width.  A period that admitted no job has a mean sojourn
     of 0 and an on-time share of empty_share: 1 for the whole window, where
     no job was late, and 0 for a batch."""
-    adm, blk, served, sojourn_sums, ontime_sums, excess_sums, areas = sums
+    adm, blk, served, sojourn_sums, ontime_sums, late_areas, areas = sums
     admitted = np.maximum(adm, 1.0)
     sojourn = sojourn_sums / admitted
     ontime = np.where(adm > 0, ontime_sums / admitted, empty_share)
@@ -201,7 +202,7 @@ def _estimates(sums: np.ndarray, width: float, policy: Policy, params: MarketPar
     revenue = through * (policy.p - params.m) - params.F * number
     return (blk / (adm + blk), number, through, sojourn, ontime,
             revenue - params.c * through * (1.0 - ontime) * sojourn,
-            revenue - params.c * excess_sums / width)
+            revenue - params.c * late_areas / width)
 
 
 def simulate(policy: Policy, params: MarketParams, horizon: float, seed: int = 0) -> SimReport:
@@ -210,7 +211,10 @@ def simulate(policy: Policy, params: MarketParams, horizon: float, seed: int = 0
     Demand is Poisson(policy.lam) regardless of the demand law; the report
     estimates queueing metrics and two profit-rate estimators: the analytic
     structure with empirical factors (throughput * P(late) * mean sojourn
-    for the lateness exposure) and the exact per-job lateness (W - l)+.
+    for the lateness exposure, over the jobs admitted in the window) and
+    the exact lateness: the time-average number of late jobs, each late
+    from its arrival + l to its departure, which by Little's law is the
+    rate of (W - l)+ and counts warm-up jobs still in system too.
     Each estimate is _estimates over the window, with the half-width of
     the same estimator's batch means.
     """

@@ -7,6 +7,7 @@ fewer, hence the looser tolerances on lam.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from leadquote import (
     SERVICE_BINDING,
     MarketParams,
     Policy,
-    Solution,
     critical_service_level,
     feasible_no_costs,
     feasible_with_costs,
@@ -184,6 +184,35 @@ def test_gates_return_their_solves_verdict_next_to_break_even(seed, costs_on, ul
     assert feasible_no_costs(edge) == solve_mm11_no_costs(edge).feasible
 
 
+@pytest.mark.parametrize("mu", [10.0, 1e5, 1e7])
+@pytest.mark.parametrize("f", [0.1, 1e-6, 1e-9])
+def test_single_slot_rate_keeps_the_margins_accuracy(mu, f):
+    # -mu + sqrt(mu^2 + R) adds mu^2 into the radicand only to take it out
+    # again, which costs about mu/lambda ulps; R/(mu + sqrt(mu^2 + R)) costs
+    # what rounding R itself costs.  The margin R = mu(a - b2 l - b1 m) -
+    # b1(F + c e^(-mu l)) has condition number cond = sum|terms|/|R|, and m
+    # is set so that R is a fraction f of its value at m = 0.  Its six
+    # roundings and the quotient's three stay below 8 eps cond; the
+    # cancelling form was 945 eps cond off at mu = 1e5 and f = 0.1.
+    import mpmath
+
+    at_zero = BASE.with_updates(mu=mu, m=0.0)
+    l = quote_level(at_zero)[0] / mu
+    r0 = mu * (at_zero.a - at_zero.b2 * l) - at_zero.b1 * (at_zero.F + at_zero.c * math.exp(-mu * l))
+    params = at_zero.with_updates(m=(1.0 - f) * r0 / (mu * at_zero.b1))
+    sol = solve_mm11_with_costs(params)
+    assert sol.feasible and sol.policy.l == l
+    with mpmath.workdps(60):
+        a, b1, b2, m, F, c, M, L = (mpmath.mpf(v) for v in (
+            params.a, params.b1, params.b2, params.m, params.F, params.c, mu, l))
+        terms = [M * a, -M * b2 * L, -M * b1 * m, -b1 * F, -b1 * c * mpmath.exp(-M * L)]
+        margin = sum(terms)
+        want = margin / (M + mpmath.sqrt(M * M + margin))
+        cond = sum(abs(t) for t in terms) / abs(margin)
+        assert abs(sol.policy.lam - want) <= 8 * sys.float_info.epsilon * cond * want
+        assert sol.diagnostics["discriminant"] == pytest.approx(float(M * M + margin), rel=1e-15 * cond)
+
+
 def test_zero_service_floor():
     # s = 0 means z = 0 and an instant quote; lam* = -10 + sqrt(100+300-200)
     params = MarketParams(a=30.0, b1=4.0, b2=20.0, mu=10.0, m=5.0, s=0.0, K=1)
@@ -241,12 +270,12 @@ def test_profit_evaluator_hand_values():
         mm11_profit(Policy(p=6.0, l=0.3, lam=math.nan), BASE)
 
 
-def test_solution_round_trips_through_dict():
+def test_solution_serializes_to_a_dict():
     sol = solve_mm11_with_costs(BASE)
-    again = Solution.from_dict(sol.to_dict())
-    assert again == sol
     d = sol.to_dict()
     assert d["policy"]["lambda"] == sol.policy.lam
+    assert (d["profit"], d["feasible"], d["branch"]) == (sol.profit, sol.feasible, sol.branch)
+    assert d["diagnostics"] == sol.diagnostics
 
 
 @pytest.mark.parametrize("solver,costs_on", [(solve_mm11_no_costs, False), (solve_mm11_with_costs, True)])

@@ -62,12 +62,12 @@ def test_infeasible_cells_serialize_as_na():
     assert table.gains[0][0] is None
     assert table.positive_cells() == 0
     assert "n/a" in table.to_csv()
-    payload = json.loads(table.to_json())
+    payload = json.loads(json.dumps(table.to_dict()))
     assert payload["gains"][0][0] is None
 
 
 def test_json_round_trip_structure(small_table):
-    payload = json.loads(small_table.to_json())
+    payload = json.loads(json.dumps(small_table.to_dict()))
     assert payload["a_values"] == [30.0, 40.0]
     assert payload["b2_values"] == [20.0, 5.0]
     assert len(payload["cells"]) == 4

@@ -131,11 +131,10 @@ def test_from_dict_keeps_boolean_capacity_rejectable():
 
 
 def test_params_json_roundtrip():
-    text = BASE.to_json()
-    assert MarketParams.from_json(text) == BASE
+    text = json.dumps(BASE.to_dict())
+    assert MarketParams.from_dict(json.loads(text)) == BASE
     # field names in the serialized form are the documented ones
-    keys = set(json.loads(text))
-    assert keys == {"a", "b1", "b2", "mu", "m", "s", "F", "c", "K"}
+    assert set(BASE.to_dict()) == {"a", "b1", "b2", "mu", "m", "s", "F", "c", "K"}
 
 
 @pytest.mark.parametrize(
@@ -149,10 +148,9 @@ def test_policy_validation(field, value):
         Policy(**kwargs)
 
 
-def test_policy_roundtrip():
+def test_policy_serializes_lam_as_lambda():
     pol = Policy(p=5.54, l=0.3, lam=1.83)
-    assert Policy.from_dict(pol.to_dict()) == pol
-    assert pol.to_dict()["lambda"] == 1.83
+    assert pol.to_dict() == {"p": 5.54, "l": 0.3, "lambda": 1.83}
 
 
 def test_feasible_no_costs_base_case():

@@ -600,7 +600,7 @@ def test_baseline_diagnostics_are_pinned():
                                            ("mm1", 0.32075846873317115)])
 def test_oracle_diagnostics_are_pinned(model, profit):
     # Evaluations count the points evaluated: the coarse rows whose bound
-    # reaches a value found, of 160 x 161, plus the rounds.  The full grid
+    # reaches a value found, of 160 x 160, plus the rounds.  The full grid
     # and the rounds read 26050.
     sol = brute_force_oracle(BASE, model)
     assert sol.profit == profit
@@ -609,8 +609,8 @@ def test_oracle_diagnostics_are_pinned(model, profit):
     assert len(sol.diagnostics["round_profits"]) == 11
 
 
-# A draw of the costless oracle check whose coarse lambda axis has 161
-# points, one more than the resolution, since cap/(cap/159) rounds up.
+# A draw of the costless oracle check whose cap/(cap/159) rounds above
+# 159: an axis sized from its step would take 161 points, not 160.
 WIDE_AXIS = MarketParams(a=51.079466418997846, b1=6.702225199424642, b2=17.785865331114753,
                          mu=16.850435125267275, m=3.9687929572493177, s=0.9318542166952417,
                          F=0.0, c=0.0, K=1)
@@ -631,8 +631,6 @@ def _batched_oracle_markets(model):
 @pytest.mark.parametrize("model", ["mm11", "mm1", "mm1k"])
 def test_batched_oracle_equals_one_search_per_market(model):
     markets = _batched_oracle_markets(model)
-    cap = numeric._zero_margin_rate(WIDE_AXIS)
-    assert len(numeric._axis(0.0, cap, cap / 159)) == 161
     batched = brute_force_oracles(markets, model)
     assert batched == [brute_force_oracle(p, model) for p in markets]
     assert not batched[6].feasible and batched[6].diagnostics["refine_rounds"] == 0
@@ -648,14 +646,29 @@ def test_batched_oracle_takes_a_lone_finite_buffer_market():
     assert sol.diagnostics["refine_rounds"] == 10
 
 
-def _coarse_rows(params, model):
-    """A market's coarse grid as the oracle lays it out: the rates, the
-    band's lo, and the quotes lo + span * u."""
+def _coarse_grid_at(params, model, resolution):
+    """A market's coarse grid as the oracle lays it out (_coarse_grid)."""
     cap = (numeric._accept_all_cap if model == "mm1" else numeric._zero_margin_rate)(params)
-    lam, lo, span, u, _ = numeric._coarse_grid(
-        lambda lam, i: numeric._oracle_band(lam, params, model), cap, 160, 0)
+    lam, lo, span, u = numeric._coarse_grid(
+        lambda lam, i: numeric._oracle_band(lam, params, model), cap, resolution, 0)
     assert lam[0, 0] == 0.0 and lam[-1, 0] == cap
+    return lam, lo, span, u
+
+
+def _coarse_rows(params, model):
+    """The rates, the band's lo, and the quotes lo + span * u of a market's
+    coarse grid at resolution 160."""
+    lam, lo, span, u = _coarse_grid_at(params, model, 160)
     return lam, lo, lo + span * u
+
+
+@pytest.mark.parametrize("model", ["mm11", "mm1"])
+@pytest.mark.parametrize("params", [BASE, WIDE_AXIS], ids=["BASE", "WIDE_AXIS"])
+def test_coarse_grid_is_resolution_by_resolution(params, model):
+    # resolution rates times resolution band fractions, whatever the cap.
+    lam, lo, span, u = _coarse_grid_at(params, model, 160)
+    assert (lam.shape, lo.shape, span.shape, u.shape) == ((160, 1), (160, 1), (160, 1), (160,))
+    assert u[0] == 0.0 and u[-1] == 1.0
 
 
 # cap = mu (1 - STABILITY_MARGIN): the accept-all model's last coarse row

@@ -104,8 +104,11 @@ def test_verdict_passes_a_run_that_blocks_no_arrival():
 def test_a_run_that_admits_no_arrival_keeps_its_window_estimates():
     # At mu = 1e-6 the job admitted in the warm-up never leaves, so all 468
     # window arrivals are blocked.  With no admitted job, the window's
-    # on-time share reads 1 (no job was late) and its mean sojourn 0; the
-    # one job in system costs F = 2.
+    # on-time share reads 1 (no window job was late) and its mean sojourn 0.
+    # The one job in system costs F = 2, and it is late for the whole
+    # window, which the exact lateness counts at c = 10: -12, as
+    # mm1k_profit reads -11.9999966.  The factored estimate takes lateness
+    # from window jobs alone, so it misses that cost.
     params, policy, horizon = PARAMS_K3.with_updates(mu=1e-6, K=1), Policy(p=1.0, l=0.5, lam=5.0), 100.0
     report = simulate(policy, params, horizon=horizon, seed=1)
     assert (report.n_arrivals, report.n_blocked, report.n_served) == (468, 468, 0)
@@ -113,7 +116,8 @@ def test_a_run_that_admits_no_arrival_keeps_its_window_estimates():
     assert report.mean_number == Estimate(1.0, 0.0)
     assert report.mean_sojourn == Estimate(0.0, 0.0)
     assert report.ontime_prob == Estimate(1.0, 0.0)
-    assert report.profit_factored_lateness == report.profit_exact_lateness == Estimate(-2.0, 0.0)
+    assert report.profit_factored_lateness == Estimate(-2.0, 0.0)
+    assert report.profit_exact_lateness == Estimate(-12.0, 0.0)
 
 
 def test_a_batch_that_admits_no_arrival_reads_an_ontime_share_of_0():
@@ -322,7 +326,8 @@ def test_batch_areas_match_full_array_formula_when_jobs_span_batches():
 
 def _reference_report(policy: Policy, params: MarketParams, horizon: float, seed: int) -> SimReport:
     """Test oracle: the estimator as first written, on whole arrays from
-    _reference_drain."""
+    _reference_drain.  The exact lateness takes each job's overlap of its
+    late interval [a + l, d] with the window and with each batch."""
     arr, dep, blk = _reference_drain(policy, params, horizon, seed)
     t0 = WARMUP_FRACTION * horizon
     window = horizon - t0
@@ -336,9 +341,10 @@ def _reference_report(policy: Policy, params: MarketParams, horizon: float, seed
     n_served = int((d_w <= horizon).sum())
 
     sojourn = d_w - a_w
-    late_excess = np.maximum(sojourn - policy.l, 0.0)
     overlap = np.minimum(dep, horizon) - np.maximum(arr, t0)
     area = float(overlap[overlap > 0].sum())
+    late = np.minimum(dep, horizon) - np.maximum(arr + policy.l, t0)
+    late_area = float(late[late > 0].sum())
 
     p_margin = policy.p - params.m
     F, c = params.F, params.c
@@ -354,7 +360,8 @@ def _reference_report(policy: Policy, params: MarketParams, horizon: float, seed
     sojourn_sums = np.bincount(adm_bin, weights=sojourn, minlength=N_BATCHES)
     ontime_sums = np.bincount(adm_bin, weights=(sojourn <= policy.l).astype(float),
                               minlength=N_BATCHES)
-    excess_sums = np.bincount(adm_bin, weights=late_excess, minlength=N_BATCHES)
+    late_areas = np.array([np.clip(np.minimum(dep, hi) - np.maximum(arr + policy.l, lo), 0.0, None).sum()
+                           for lo, hi in zip(edges[:-1], edges[1:])])
     areas = _batch_areas(arr, dep, edges)
 
     b_block = blk_counts / (adm_counts + blk_counts)
@@ -364,14 +371,14 @@ def _reference_report(policy: Policy, params: MarketParams, horizon: float, seed
     b_sojourn = sojourn_sums / safe_adm
     b_ontime = ontime_sums / safe_adm
     b_profit_factored = b_through * p_margin - F * b_number - c * b_through * (1.0 - b_ontime) * b_sojourn
-    b_profit_exact = b_through * p_margin - F * b_number - c * excess_sums / width
+    b_profit_exact = b_through * p_margin - F * b_number - c * late_areas / width
 
     throughput = n_served / window
     mean_number = area / window
     mean_sojourn = float(sojourn.mean()) if n_adm else 0.0
     ontime = float((sojourn <= policy.l).mean()) if n_adm else 1.0
     profit_factored = throughput * p_margin - F * mean_number - c * throughput * (1.0 - ontime) * mean_sojourn
-    profit_exact = throughput * p_margin - F * mean_number - c * float(late_excess.sum()) / window
+    profit_exact = throughput * p_margin - F * mean_number - c * late_area / window
 
     return SimReport(
         n_arrivals=n_arrivals,
