@@ -249,10 +249,15 @@ def min_leadtime_for_service(lam, params: MarketParams, log_density: bool = Fals
     with slope = d log g / dl.  Where that is at most tol/4, tol =
     QUOTE_TOL, and the iterate lies in the bracket, the next call takes a
     point tol/20 right of it (clear of rounding in P, and at most hi)
-    with one 0.9 tol left of that, and the two close the bracket at once.
-    Stops when the bracket is at most tol wide and returns its feasible
-    end.  Returns 0 when s = 0.  Each step runs on the rows still open
-    alone, and the per-rate kernel terms are taken once per call.
+    with one 0.9 tol left of that, never below lo, and the two close the
+    bracket at once; every point evaluated lies in [lo, hi].  Stops when
+    the bracket is at most tol wide and returns its feasible end.  At
+    s = 0 the bracket is [0, 0], so the first point, l = 0, meets the
+    level and closes it.  Where rounding in P (1 - late moves in steps of
+    eps/2) outweighs its rise over tol, a Newton step from a point below
+    the level can land below it again, which concavity rules out; such a
+    row bisects from then on, so its bracket still closes.  Steps run on
+    the open rows alone, and the per-rate kernel terms are taken once.
 
     With log_density=True the call returns (quote, P, log g, slope), the
     kernel's values at the quote (mm1k_ontime_prob with log_density), so
@@ -261,19 +266,7 @@ def min_leadtime_for_service(lam, params: MarketParams, log_density: bool = Fals
     a caller that has them already.
     """
     mu, K, s, tol = params.mu, params.K, params.s, QUOTE_TOL
-    scalar = np.isscalar(lam)
     arr = np.atleast_1d(np.asarray(lam, dtype=float))
-
-    def result(quote, *at_quote):
-        out = (quote, *at_quote)
-        if scalar:
-            out = tuple(float(v[0]) for v in out)
-        return out if log_density else out[0]
-
-    if s <= 0.0:
-        quote = np.zeros_like(arr)
-        at_zero = mm1k_ontime_prob(arr, mu, K, quote, log_density=True) if log_density else ()
-        return result(quote, *at_zero)
     block, terms = rates if rates is not None else (
         mm1k_blocking(arr, mu, K), mm1k_rate_terms(arr, mu, K))
     log_late = math.log1p(-s)
@@ -284,7 +277,7 @@ def min_leadtime_for_service(lam, params: MarketParams, log_density: bool = Fals
     # records every row's bracket in quote and at_quote before it drops any.
     quote, at_quote = hi.copy(), at_hi.copy()
     idx, rows_lam, rows_terms = np.arange(arr.size), arr, terms
-    paired = np.zeros(arr.shape, dtype=bool)
+    paired, rescue, stuck = np.zeros((3, arr.size), dtype=bool)
     width, nudge = 0.9 * tol, 0.05 * tol
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # First Newton step from l = 0, where P = 0 and the density is mu * w_0
@@ -295,8 +288,6 @@ def min_leadtime_for_service(lam, params: MarketParams, log_density: bool = Fals
         x = np.minimum(-log_late * (1.0 - block) / (mu * idle), hi)
         x = np.where(idle > 0.0, x, hi)
         for _ in range(_MAX_NEWTON_STEPS):
-            if not idx.size:
-                break
             if np.count_nonzero(paired):
                 pts, vals, ok = _paired_points(rows_lam, rows_terms, x, lo, hi, paired, width, params)
             else:
@@ -313,45 +304,51 @@ def min_leadtime_for_service(lam, params: MarketParams, log_density: bool = Fals
                 np.copyto(hi, pts, where=ok)
                 np.copyto(lo, pts, where=~ok)
                 at_hi = np.where(ok, vals, at_hi)
+                stuck |= rescue & ~ok  # a Newton step from a miss missed too
             ontime, log_g, slope = vals
             log_late_now = np.log(1.0 - ontime)
             late_g = np.exp(log_late_now - log_g)
             step = (log_late_now - log_late) * late_g
             close = np.abs(slope + 1.0 / late_g) * step * step <= 0.5 * tol
             nxt = pts + step
+            np.copyto(nxt, np.nan, where=stuck)  # so the row bisects
             paired = close & (nxt >= lo) & (nxt <= hi)
             inside = (nxt > lo) & (nxt < hi)
+            rescue = inside & ~ok
             x = 0.5 * (lo + hi)
             np.copyto(x, nxt, where=inside)
             np.copyto(x, np.minimum(nxt + nudge, hi), where=paired)
             keep = (hi - lo > tol).nonzero()[0]
+            if not keep.size:
+                break
             if keep.size < idx.size:
                 quote[idx], at_quote[:, idx] = hi, at_hi
-                if not keep.size:
-                    break
-                idx, rows_lam, rows_terms, x, lo, hi, at_hi, paired = (
+                idx, rows_lam, rows_terms, x, lo, hi, at_hi, paired, rescue, stuck = (
                     v.take(keep, axis=-1)
-                    for v in (idx, rows_lam, rows_terms, x, lo, hi, at_hi, paired))
-        else:
-            quote[idx], at_quote[:, idx] = hi, at_hi
+                    for v in (idx, rows_lam, rows_terms, x, lo, hi, at_hi, paired, rescue, stuck))
+    quote[idx], at_quote[:, idx] = hi, at_hi
     if log_density:
         # A row whose bracket closed on the starting bound never evaluated hi.
         todo = np.isnan(at_quote[0]).nonzero()[0]
         if todo.size:
             at_quote[:, todo] = mm1k_ontime_prob(arr[todo], mu, K, quote[todo], log_density=True,
                                                  rates=terms.take(todo, axis=1))
-    return result(quote, *at_quote)
+    out = (quote, *at_quote) if log_density else (quote,)
+    if np.isscalar(lam):
+        out = tuple(float(v[0]) for v in out)
+    return out if log_density else out[0]
 
 
 def _paired_points(lam, terms, x, lo, hi, paired, width, params: MarketParams):
     """One kernel call of a quote-search step with paired rows: a paired
-    row's points are x - width, in the row's own slot, and x, appended
-    after all rows unless it is hi, whose values are known.  Returns each
-    row's point nearest the root, the kernel's values there and whether it
-    meets the service level: the lower if feasible, else the upper, which
-    if feasible closes the bracket on the lower (lo is moved in place)."""
+    row's points are max(x - width, lo), in the row's own slot, and x,
+    appended after all rows unless it is hi, whose values are known.
+    Returns each row's point nearest the root, the kernel's values there
+    and whether it meets the service level: the lower if feasible, else
+    the upper, which if feasible closes the bracket on the lower (lo is
+    moved in place to the lower point, never below lo)."""
     mu, K, s = params.mu, params.K, params.s
-    pts = np.where(paired, x - width, x)
+    pts = np.where(paired, np.maximum(x - width, lo), x)
     two = (paired & (x < hi)).nonzero()[0]
     if not two.size:
         vals = mm1k_ontime_prob(lam, mu, K, pts, log_density=True, rates=terms)
@@ -367,7 +364,7 @@ def _paired_points(lam, terms, x, lo, hi, paired, width, params: MarketParams):
     pick = np.arange(n)
     pick[upper] = n + low_fails.nonzero()[0]
     straddle = upper[ok[n:][low_fails]]
-    lo[straddle] = x[straddle] - width
+    lo[straddle] = pts[straddle]
     return pts[pick], vals.take(pick, axis=1), ok[pick]
 
 
@@ -518,7 +515,9 @@ def _right_end(lam, lo, log_g, slope, leff, ls, terms, params: MarketParams):
                                                          rates=terms.take(moved, axis=1))
     root = np.full_like(lam, np.nan)
     idx = np.arange(lam.size)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A zero or subnormal slope (at rho = 1 and l << K/mu) makes the step
+    # infinite; the cap at hi or the test against lo then settles the row.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_NEWTON_STEPS):
             phi = log_g - level
             nxt = np.where(slope < 0.0, x - phi / slope, np.inf)

@@ -138,8 +138,7 @@ def _sigma(v):
 
 def mm1k_throughput(lam, mu: float, K: int):
     """Effective (admitted) arrival rate lambda * (1 - P_block)."""
-    block = mm1k_blocking(lam, mu, K)
-    return np.asarray(lam, dtype=float) * (1.0 - block) if not np.isscalar(lam) else lam * (1.0 - block)
+    return _ret(np.asarray(lam, dtype=float) * (1.0 - mm1k_blocking(lam, mu, K)), _is_scalar(lam))
 
 
 def mm1k_mean_sojourn(lam, mu: float, K: int):
@@ -253,7 +252,7 @@ def _late_mass(rates, x, K: int, log_density: bool = False):
     Returns (late, log(g/mu), d log g / dx); the last two are None unless
     log_density.
     """
-    if K == 1 or not np.count_nonzero(rates[0]):
+    if K == 1:
         # An admitted job always finds the server idle: Exp(1) in x units.
         late = np.exp(-x)
         return (late, -x, np.full_like(x, -1.0)) if log_density else (late, None, None)

@@ -11,7 +11,9 @@ import pytest
 
 from leadquote import (
     MarketParams,
+    Policy,
     PropertyResult,
+    mm1k_profit,
     solve_mm11_with_costs,
     solve_mm1_baseline,
     solve_mm1k_numeric,
@@ -83,6 +85,11 @@ def test_config_file_errors(tmp_path, capsys):
     assert main(["solve", "--config", str(unknown)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "price_cap" in err
+
+    array = tmp_path / "array.json"
+    array.write_text(json.dumps([{"a": 30.0}]))
+    assert main(["solve", "--config", str(array)]) == EXIT_CONFIG
+    assert "config file must hold a JSON object" in capsys.readouterr().err
 
 
 def test_invalid_parameter_exits_config(capsys):
@@ -216,6 +223,16 @@ def test_simulate_fixed_policy(tmp_path, capsys):
     assert doc["policy"] == {"p": 9.0, "l": 0.3, "lambda": 5.0}
     assert doc["report"]["n_arrivals"] > 0
     assert "solution" not in doc
+
+
+def test_simulate_costs_off_zeroes_the_cost_fields(capsys):
+    code, doc = run_json(capsys, ["simulate", "--K", "3", "--policy", "9.0,0.3,5.0",
+                                  "--horizon", "1500", "--seed", "3", "--costs", "off"])
+    assert code == EXIT_OK
+    assert doc["params"]["F"] == 0.0 and doc["params"]["c"] == 0.0
+    params = MarketParams.from_dict(doc["params"])
+    (profit,) = (c for c in doc["verdict"]["checks"] if c["name"] == "profit_factored_lateness")
+    assert profit["analytic"] == mm1k_profit(Policy(p=9.0, l=0.3, lam=5.0), params)
 
 
 def test_simulate_solves_when_policy_absent(capsys):

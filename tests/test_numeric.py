@@ -89,27 +89,59 @@ def test_newton_quote_matches_bisection(K):
     assert np.max(np.abs(got - _bisected_quote(lams, params))) <= 1e-10
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(mu=st.floats(0.5, 50.0), K=st.sampled_from([1, 2, 5, 20, 200, 2000]),
-       s=st.one_of(st.just(0.0), st.floats(0.01, 0.999)),
-       rho=st.lists(st.one_of(st.floats(0.0, 3.0), st.floats(3.0, 1e3)),
-                    min_size=1, max_size=6))
-@example(mu=1.0, K=5, s=0.9, rho=[5e-324, 0.5])
-@pytest.mark.filterwarnings("error")
-def test_service_search_meets_the_level_and_hands_on_its_kernel_values(mu, K, s, rho):
-    # rho spans light loads, rho = 1 neighbourhoods and rho >> 1, where the
-    # kernel takes its first term in log space.  A subnormal rho, whose
-    # reciprocal overflows, must raise no warning either.
-    params = BASE.with_updates(mu=mu, K=K, s=s)
-    lam = mu * np.array(rho)
+# rho spans light loads, rho = 1 neighbourhoods and rho >> 1, where the
+# kernel takes its first term in log space.
+SEARCH_MU = st.floats(0.5, 50.0)
+SEARCH_K = st.sampled_from([1, 2, 5, 20, 200, 2000])
+SEARCH_RHO = st.lists(st.one_of(st.floats(0.0, 3.0), st.floats(3.0, 1e3)), min_size=1, max_size=6)
+
+
+def _check_service_search(params, lam, slack=0.0):
+    """The search's quote is >= 0, meets the level, is within QUOTE_TOL of
+    the least quote that does (up to slack in P), and comes with the
+    kernel's values there."""
+    mu, K, s = params.mu, params.K, params.s
     quote, ontime, log_g, slope = min_leadtime_for_service(lam, params, log_density=True)
     assert np.array_equal(quote, min_leadtime_for_service(lam, params))
     for got, want in zip((ontime, log_g, slope), mm1k_ontime_prob(lam, mu, K, quote, log_density=True)):
         assert np.array_equal(got, want)
+    assert np.all(quote >= 0.0)
     assert np.all(ontime >= s)
     if s > 0.0:
         below = np.maximum(quote - numeric.QUOTE_TOL, 0.0)
-        assert np.all(mm1k_ontime_prob(lam, mu, K, below) < s)
+        assert np.all(mm1k_ontime_prob(lam, mu, K, below) < s + slack)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mu=SEARCH_MU, K=SEARCH_K, s=st.one_of(st.just(0.0), st.floats(0.01, 0.999)), rho=SEARCH_RHO)
+@example(mu=1.0, K=5, s=0.9, rho=[5e-324, 0.5])
+@pytest.mark.filterwarnings("error")
+def test_service_search_meets_the_level_and_hands_on_its_kernel_values(mu, K, s, rho):
+    # A subnormal rho, whose reciprocal overflows, must raise no warning.
+    _check_service_search(BASE.with_updates(mu=mu, K=K, s=s), mu * np.array(rho))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mu=SEARCH_MU, K=SEARCH_K, rho=SEARCH_RHO,
+       s=st.one_of(st.just(0.0), st.floats(-15.0, -6.0).map(lambda e: 10.0 ** e)))
+@example(mu=10.0, K=3, s=5e-10, rho=[0.2])
+@example(mu=10.0, K=1, s=1e-12, rho=[0.2])
+@example(mu=1.0, K=5, s=1e-15, rho=[132.0])  # P is flat near the root: the row bisects
+@example(mu=1.0, K=200, s=1e-15, rho=[2.367218115109308])  # so here, after Newton creeps
+@example(mu=1.25, K=200, s=0.0, rho=[0.0])  # the lambda scan hits rho = 1 exactly
+@pytest.mark.filterwarnings("error")
+def test_tiny_service_levels_take_the_same_search_and_solve(mu, K, s, rho):
+    # The least quote sits near s / g(0), inside QUOTE_TOL of 0 for the
+    # smallest s, so the search's closing pair must not step left of 0.
+    # P = 1 - late moves in steps of eps/2 near 0 and can fall back by one,
+    # which is more than it rises over QUOTE_TOL where g is tiny; so the
+    # least-quote check allows P one eps above s.
+    params = BASE.with_updates(mu=mu, K=K, s=s)
+    _check_service_search(params, mu * np.array(rho), slack=np.finfo(float).eps)
+    sol = solve_mm1k_numeric(params)
+    brute_force_oracle(params, "mm1k", resolution=numeric.MIN_RESOLUTION)
+    if K == 1:
+        assert sol.feasible == solve_mm11_with_costs(params).feasible
 
 
 def _best_scanned_quote(lam, params, points=401):

@@ -176,13 +176,16 @@ def test_single_slot_profit_estimators_agree():
 
 
 def test_rejects_degenerate_runs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive demand rate"):
         simulate(Policy(p=9.0, l=0.3, lam=0.0), PARAMS_K3, horizon=100.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="horizon must be positive"):
         simulate(POLICY_K3, PARAMS_K3, horizon=0.0)
-    with pytest.raises(ValueError):
-        # so short that batches go empty
+    with pytest.raises(ValueError, match="no arrivals in the measurement window"):
+        # so short that the window sees no arrival at all
         simulate(Policy(p=9.0, l=0.3, lam=0.01), PARAMS_K3, horizon=5.0)
+    with pytest.raises(ValueError, match="a batch saw no arrivals"):
+        # the window sees arrivals, but one of its batches none
+        simulate(Policy(p=6.0, l=0.3, lam=1.0), PARAMS_K3, horizon=25.0, seed=1)
 
 
 def test_report_serializes_to_json(report_k3):
