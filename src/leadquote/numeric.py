@@ -596,7 +596,7 @@ def solve_mm1_baseline(params: MarketParams, costs_on: bool) -> Solution:
     def evaluate(lam):
         slack = mu - lam
         quote = log_x / slack
-        attained = 1.0 - np.exp(-slack * quote)
+        attained = -np.expm1(-slack * quote)
         return quote, _mm1_objective(lam, quote, params), attained, np.full(lam.shape, penalty)
 
     result = _zoom(evaluate, _accept_all_cap(params))

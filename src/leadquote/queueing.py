@@ -314,13 +314,14 @@ def _late_sum(rho, x, K: int):
 
 
 def mm1_ontime_prob(lam, mu: float, l):
-    """P(sojourn <= l) = 1 - exp(-(mu-lambda) l) for the stable M/M/1 queue."""
+    """P(sojourn <= l) = 1 - exp(-(mu-lambda) l) for the stable M/M/1 queue,
+    taken as -expm1, which keeps its relative accuracy near 0."""
     _check_rates(lam, mu, 1)
     _check_lead(l)
     if np.any(np.asarray(lam) >= mu):
         raise ValueError("unstable queue: lambda must be < mu for the M/M/1 law")
     scalar = np.isscalar(lam) and np.isscalar(l)
-    out = 1.0 - np.exp(-(mu - np.asarray(lam, dtype=float)) * np.asarray(l, dtype=float))
+    out = -np.expm1(-(mu - np.asarray(lam, dtype=float)) * np.asarray(l, dtype=float))
     return _ret(out, scalar)
 
 

@@ -13,15 +13,18 @@ numbers in system and of late jobs integrate over the window, warm-up
 arrivals still in system included, and every estimate carries
 a 95% half-width from 20 batch means.  The event loop hands its jobs over
 one arrival chunk at a time; each chunk is added into the per-batch sums
-and dropped, so memory does not grow with the horizon.  One estimator
-(_estimates) turns those sums into the window's estimates and, batch by
-batch, into the batch means.
+and dropped.  Between chunks the loop carries only the departures of the
+jobs still in system, so memory does not grow with the horizon at any K.
+One estimator (_estimates) turns those sums into the window's estimates
+and, batch by batch, into the batch means.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from array import array
+from collections import deque
 from dataclasses import asdict, dataclass
 from itertools import chain, count
 
@@ -106,38 +109,44 @@ def _drain(policy: Policy, params: MarketParams, horizon: float, seed: int):
     """Run the event loop, yielding one arrival chunk at a time: its admitted
     (arrival, departure) arrays and its blocked arrival times.  Arrival times
     come from a sequential cumsum, which matches t += gap bit for bit, and
-    an arrival is blocked when the K-th most recent departure is later than
-    it; only the last K departures are carried from chunk to chunk."""
+    an arrival is blocked when kth, the K-th most recent departure, is later
+    than it.  kth is the front of a ring of the last K departures, read
+    again on each admission.  At each chunk edge the ring drops the
+    departures at or before the edge: those jobs have left and can block no
+    later arrival.  If fewer than K are left, one -inf goes in front, and
+    kth reads it until K departures stand behind it.  The ring thus holds
+    the jobs in system plus one chunk's admissions, at any K."""
     lam, K = policy.lam, params.K
     root = np.random.SeedSequence(seed)
     arr_rng, svc_rng = (np.random.default_rng(s) for s in root.spawn(2))
     next_service = chain.from_iterable(
-        svc_rng.exponential(1.0 / params.mu, _CHUNK).tolist() for _ in count()).__next__
+        memoryview(svc_rng.exponential(1.0 / params.mu, _CHUNK)) for _ in count()).__next__
 
-    departures = array("d")  # the last K carried over, then this chunk's
+    ring = deque(maxlen=min(K, sys.maxsize))  # no run admits sys.maxsize jobs
+    push = ring.append
     last = 0.0  # latest departure so far
     t, cut = 0.0, _CHUNK
     while cut == _CHUNK:  # the last chunk ended before the horizon; t is its end
         times = np.cumsum(np.concatenate(([t], arr_rng.exponential(1.0 / lam, _CHUNK))))[1:]
         cut = int(np.searchsorted(times, horizon))
-        arrivals, blocked, carried = array("d"), array("d"), len(departures)
-        admit, depart, block = arrivals.append, departures.append, blocked.append
-        for t in times[:cut].tolist():
-            try:
-                if departures[-K] > t:
-                    block(t)
-                    continue
-            except IndexError:
-                pass  # fewer than K jobs admitted so far
+        while ring and ring[0] <= t:
+            ring.popleft()
+        if len(ring) < K:
+            ring.appendleft(-math.inf)
+        kth = ring[0]
+        outcomes = array("d")  # each arrival's departure, or -1.0 if blocked
+        record = outcomes.append
+        for t in memoryview(times)[:cut]:
+            if kth > t:
+                record(-1.0)
+                continue
             last = (last if last > t else t) + next_service()
-            admit(t)
-            depart(last)
-        yield (
-            np.frombuffer(arrivals, dtype=float),
-            np.frombuffer(departures[carried:], dtype=float),
-            np.frombuffer(blocked, dtype=float),
-        )
-        del departures[:-K]
+            push(last)
+            kth = ring[0]
+            record(last)
+        arrivals, departures = times[:cut], np.frombuffer(outcomes, dtype=float)
+        admitted = departures >= 0.0
+        yield arrivals[admitted], departures[admitted], arrivals[~admitted]
 
 
 def _batch_ci(values: np.ndarray) -> float:

@@ -172,6 +172,20 @@ def test_mm1_ontime():
         mm1_ontime_prob(10.0, 10.0, 0.3)
 
 
+@pytest.mark.parametrize("lam", [0.5, 5.0, 9.0, 9.999])
+@pytest.mark.parametrize("l", [1e-15, 1e-12, 1e-8, 1e-4, 0.3, 5.0])
+def test_mm1_ontime_matches_mpmath(lam, l):
+    # 1 - exp(-x) loses its digits as x -> 0: at mu - lam = 1, l = 1e-12 it
+    # is 2.2e-5 off.  The roundings of mu - lam and of the product move x
+    # by at most eps relative, which moves 1 - exp(-x) by at most as much,
+    # and expm1 adds under an ulp: 4 ulps in all.
+    import mpmath
+
+    with mpmath.workdps(50):
+        want = float(-mpmath.expm1(-(10 - mpmath.mpf(lam)) * mpmath.mpf(l)))
+    assert abs(mm1_ontime_prob(lam, 10.0, l) - want) <= 4 * np.spacing(want)
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         mm1k_blocking(-1.0, 10.0, 2)

@@ -295,6 +295,23 @@ def test_drain_matches_deque_loop_across_chunks():
     assert len(arr) > _CHUNK  # service chunks
 
 
+@pytest.mark.parametrize("K, lam, horizon, blocks", [
+    (100_000, 15.0, 20_000.0, True),  # the buffer fills over several chunks
+    (_CHUNK, 15.0, 20_000.0, True),   # as many slots as a chunk has arrivals
+    (10**12, 30.0, 300.0, False),
+    (10**20, 30.0, 300.0, False),     # beyond a deque's maxlen
+], ids=["K1e5", "K-chunk", "K1e12", "K1e20"])
+def test_drain_matches_deque_loop_at_the_rings_edges(K, lam, horizon, blocks):
+    # At rho = 1.5 more than a chunk's worth of jobs is in system at K = 1e5,
+    # so the ring holds fewer than K slots across chunk edges until the
+    # buffer fills, 114 time units before the horizon
+    arr, dep, blk = _assert_same_paths(Policy(p=9.0, l=0.3, lam=lam),
+                                       PARAMS_K3.with_updates(K=K), horizon, 0)
+    assert (len(blk) > 0) == blocks
+    if K == 100_000:
+        assert np.count_nonzero(dep > arr[2 * _CHUNK]) > _CHUNK
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(lam=st.floats(0.1, 30.0), mu=st.floats(0.5, 20.0),
        K=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
@@ -443,11 +460,11 @@ _PEAK_RSS_SCRIPT = """
 import resource
 from leadquote import MarketParams, Policy, simulate
 
-params = MarketParams(a=30.0, b1=4.0, b2=20.0, mu=10.0, m=5.0, s=0.95, F=2.0, c=10.0, K=3)
+params = MarketParams(a=30.0, b1=4.0, b2=20.0, mu=10.0, m=5.0, s=0.95, F=2.0, c=10.0, K={K})
 policy = Policy(p=9.0, l=0.3, lam=5.0)
 simulate(policy, params, horizon=2e4, seed=1)  # 1e5 arrivals
 small = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-simulate(policy, params, horizon=2e5, seed=2)  # 1e6 arrivals
+simulate(policy, params, horizon={horizon}, seed=2)
 print(small, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
@@ -462,11 +479,15 @@ def _run_fresh(script: str) -> str:
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
 def test_peak_memory_does_not_grow_with_the_horizon():
-    # A fresh process, so no earlier test sets the peak.  Holding every
-    # arrival would cost about 45 bytes each, 45 MB here.
-    out = _run_fresh(_PEAK_RSS_SCRIPT)
-    small_kb, large_kb = map(int, out.split())
-    assert large_kb - small_kb < 10 * 1024
+    # A fresh process per K, so no earlier run sets the peak.  Holding every
+    # arrival would cost about 45 bytes each: 45 MB at 1e6 arrivals.  At
+    # K = 1e12 no job is ever blocked, and a loop that carried every
+    # departure up to the last K grew 17.7-18.2 MB over 3e6 arrivals on a
+    # 2-vCPU Linux VM; over 2e6 it grew 10.3-10.6 MB, too close to tell.
+    for K, horizon in [(3, 2e5), (10**12, 6e5)]:  # 1e6 and 3e6 arrivals
+        out = _run_fresh(_PEAK_RSS_SCRIPT.format(K=K, horizon=horizon))
+        small_kb, large_kb = map(int, out.split())
+        assert large_kb - small_kb < 10 * 1024, K
 
 
 def test_package_import_leaves_scipy_stats_out():
