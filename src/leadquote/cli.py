@@ -19,7 +19,7 @@ from pathlib import Path
 from .certify import run_all_checks
 from .closed_form import Solution, solve_mm11_with_costs
 from .compare import sweep
-from .market import MarketParams, Policy
+from .market import MARKET_FIELDS, MarketParams, Policy
 from .numeric import MAX_RESOLUTION, MIN_RESOLUTION, solve_mm1_baseline, solve_mm1k_numeric
 from .simulate import simulate, validate
 
@@ -28,19 +28,8 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_VALIDATION = 4
 
-PARAM_FIELDS = ("a", "b1", "b2", "mu", "m", "s", "F", "c", "K")
-
-DEFAULTS = {
-    "a": 30.0,
-    "b1": 4.0,
-    "b2": 20.0,
-    "mu": 10.0,
-    "m": 5.0,
-    "s": 0.95,
-    "F": 2.0,
-    "c": 10.0,
-    "K": 1,
-}
+DEFAULTS = MarketParams(a=30.0, b1=4.0, b2=20.0, mu=10.0, m=5.0, s=0.95,
+                        F=2.0, c=10.0, K=1).to_dict()
 
 SWEEP_A_DEFAULT = [30.0, 40.0, 50.0, 60.0, 70.0]
 SWEEP_B2_DEFAULT = [float(v) for v in range(5, 21)]
@@ -55,7 +44,7 @@ class ConfigError(ValueError):
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=str, default=None,
                      help="JSON file with market parameters (flags override it)")
-    for name in PARAM_FIELDS:
+    for name in MARKET_FIELDS:
         kind = int if name == "K" else float
         sub.add_argument(f"--{name}", type=kind, default=None,
                          help=f"market parameter {name} (default {DEFAULTS[name]})")
@@ -130,11 +119,11 @@ def _resolve_params(args: argparse.Namespace) -> MarketParams:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(loaded) - set(PARAM_FIELDS)
+        unknown = set(loaded) - set(MARKET_FIELDS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged.update(loaded)
-    for name in PARAM_FIELDS:
+    for name in MARKET_FIELDS:
         value = getattr(args, name)
         if value is not None:
             merged[name] = value

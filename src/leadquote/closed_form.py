@@ -32,8 +32,10 @@ SERVICE_BINDING = "service-binding"
 PENALTY_BINDING = "penalty-binding"
 
 # Quote cap when demand ignores lead time (b2 = 0) but lateness is priced:
-# the quote grows until the residual penalty factor exp(-mu*l) is this small.
+# the quote grows until the residual penalty factor exp(-mu*l) is this small,
+# which takes rate*l PENALTY_STRETCH beyond the service floor.
 PENALTY_ELIMINATION = 1e-12
+PENALTY_STRETCH = math.log(1.0 / PENALTY_ELIMINATION)
 
 
 @dataclass(frozen=True)
@@ -70,16 +72,8 @@ def _require_single_slot(params: MarketParams, who: str) -> None:
 
 def _infeasible(params: MarketParams, diagnostics: dict) -> Solution:
     # Null policy: price at cost, quote the minimum service-level lead time.
-    z = params.z
-    policy = Policy(p=params.m, l=z / params.mu, lam=0.0)
-    return Solution(
-        policy=policy,
-        profit=0.0,
-        feasible=False,
-        service_level_attained=params.s,
-        branch=SERVICE_BINDING,
-        diagnostics=diagnostics,
-    )
+    return Solution(Policy(p=params.m, l=params.z / params.mu, lam=0.0), 0.0, False,
+                    params.s, SERVICE_BINDING, diagnostics)
 
 
 def _sale(params: MarketParams, lam: float, l: float, diagnostics: dict, complete) -> Solution:
@@ -121,20 +115,21 @@ def critical_service_level(params: MarketParams) -> float:
 def quote_level(params: MarketParams):
     """ln(x) of the best quote ln(x)/rate, and the constraint that pins it.
 
-    x = max{1/(1-s), b1*c/b2}, penalty-binding exactly when s_c > s.  The
+    x = max{1/(1-s), b1*c/b2}: penalty-binding with ln(x) = ln(b1*c/b2)
+    exactly when s_c > s, else service-binding with ln(x) = params.z.  The
     single-slot system quotes at rate mu, the accept-all benchmark at
     mu - lambda.  Degenerate inputs: c = 0 leaves the service-binding z;
     b2 = 0 (with c > 0) puts no demand pressure against a long quote, so
     it stretches until the lateness factor exp(-rate*l) has fallen by
-    PENALTY_ELIMINATION below the service floor.
+    PENALTY_ELIMINATION below the service floor, to z + PENALTY_STRETCH.
     """
     if params.c <= 0:
         return params.z, SERVICE_BINDING
     if params.b2 <= 0:
-        return params.z + math.log(1.0 / PENALTY_ELIMINATION), PENALTY_BINDING
-    x = max(1.0 / (1.0 - params.s), params.b1 * params.c / params.b2)
-    branch = PENALTY_BINDING if critical_service_level(params) > params.s else SERVICE_BINDING
-    return math.log(x), branch
+        return params.z + PENALTY_STRETCH, PENALTY_BINDING
+    if critical_service_level(params) > params.s:
+        return math.log(params.b1 * params.c / params.b2), PENALTY_BINDING
+    return params.z, SERVICE_BINDING
 
 
 def solve_mm11_no_costs(params: MarketParams) -> Solution:
@@ -161,12 +156,11 @@ def solve_mm11_with_costs(params: MarketParams) -> Solution:
     attained = s
     if c > 0 and b2 > 0:
         s_c = critical_service_level(params)
-        diagnostics["s_c"] = s_c
-        diagnostics["x"] = max(1.0 / (1.0 - s), b1 * c / b2)
+        diagnostics.update(s_c=s_c, x=max(1.0 / (1.0 - s), b1 * c / b2))
         if branch == PENALTY_BINDING:
             attained = s_c
     elif branch == PENALTY_BINDING:
-        attained = 1.0 - math.exp(-mu * l_star)
+        attained = -math.expm1(-mu * l_star)
 
     return _sale_at(params, l_star, attained, branch, diagnostics)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 # A price may undershoot zero by this much before it counts as negative.
 FEASIBILITY_SLACK = 1e-12
@@ -56,7 +56,7 @@ class MarketParams:
     K: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("a", "b1", "b2", "mu", "m", "s", "F", "c"):
+        for name in _REAL_FIELDS:
             value = getattr(self, name)
             # A plain float or int (not bool) skips the slow ABC check.
             if type(value) not in (float, int) and (
@@ -85,9 +85,11 @@ class MarketParams:
 
     @property
     def z(self) -> float:
-        """ln(1/(1-s)): minimum of mu*l imposed by the service-level constraint
-        when sojourn is exponential (single-slot system)."""
-        return math.log(1.0 / (1.0 - self.s))
+        """z = ln(1/(1-s)), the least rate*l at which an exponential sojourn
+        meets the service level: the single-slot quote is z/mu, the
+        accept-all one z/(mu - lambda).  The package's one definition, as
+        -log1p(-s), right to an ulp at any s; taken from 0.0, so s = 0 gives +0.0."""
+        return 0.0 - math.log1p(-self.s)
 
     def with_updates(self, **changes) -> "MarketParams":
         return replace(self, **changes)
@@ -97,7 +99,13 @@ class MarketParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MarketParams":
-        return cls(**{f: d[f] for f in ("a", "b1", "b2", "mu", "m", "s", "F", "c", "K") if f in d})
+        return cls(**{f: d[f] for f in MARKET_FIELDS if f in d})
+
+
+# The field names, once (a sweep builds a market per cell): config keys and
+# CLI flags, and the real-valued ones that __post_init__ checks.
+MARKET_FIELDS = tuple(f.name for f in fields(MarketParams))
+_REAL_FIELDS = tuple(name for name in MARKET_FIELDS if name != "K")
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ import numpy as np
 
 from .closed_form import (
     PENALTY_BINDING,
-    PENALTY_ELIMINATION,
+    PENALTY_STRETCH,
     SERVICE_BINDING,
     Solution,
     _sale,
@@ -63,6 +63,7 @@ from .closed_form import (
 )
 from .market import FEASIBILITY_SLACK, MarketParams, Policy
 from .queueing import (
+    _mm1_ontime,
     erlang_quantile_bracket,
     mm1_ontime_prob,
     mm1k_blocking,
@@ -240,7 +241,8 @@ def min_leadtime_for_service(lam, params: MarketParams, log_density: bool = Fals
 
     Safeguarded Newton iteration on P(W <= l) = s, vectorized over lam.
     Each row keeps a bracket [lo, hi] with P(lo) < s <= P(hi), starting
-    from [0, erlang_quantile_bracket].  Steps are taken on log P(W > l),
+    from [0, erlang_quantile_bracket(mu, K, z)].  Steps are taken on
+    log P(W > l), whose target is ln(1 - s) = -z (MarketParams.z) and
     which is concave because the sojourn density is log-concave: the first
     step from l = 0 lands on the feasible side, and later ones approach the
     root from there.  A step that leaves the bracket becomes a bisection.
@@ -269,9 +271,9 @@ def min_leadtime_for_service(lam, params: MarketParams, log_density: bool = Fals
     arr = np.atleast_1d(np.asarray(lam, dtype=float))
     block, terms = rates if rates is not None else (
         mm1k_blocking(arr, mu, K), mm1k_rate_terms(arr, mu, K))
-    log_late = math.log1p(-s)
+    log_late = -params.z
     lo = np.zeros_like(arr)
-    hi = np.full_like(arr, erlang_quantile_bracket(mu, K, s))
+    hi = np.full_like(arr, erlang_quantile_bracket(mu, K, params.z))
     at_hi = np.full((3, arr.size), np.nan)
     # The loop keeps the open rows alone, with their rates and terms, and
     # records every row's bracket in quote and at_quote before it drops any.
@@ -413,7 +415,7 @@ def mm1k_profit(policy: Policy, params: MarketParams) -> float:
 
 def _leadtime_cap(lo, rate):
     # Quote beyond which the residual lateness factor exp(-rate*l) is dust.
-    return lo + math.log(1.0 / PENALTY_ELIMINATION) / rate
+    return lo + PENALTY_STRETCH / rate
 
 
 def _mm1_rate(lam, p, l, params: MarketParams):
@@ -596,7 +598,7 @@ def solve_mm1_baseline(params: MarketParams, costs_on: bool) -> Solution:
     def evaluate(lam):
         slack = mu - lam
         quote = log_x / slack
-        attained = -np.expm1(-slack * quote)
+        attained = _mm1_ontime(slack, quote)
         return quote, _mm1_objective(lam, quote, params), attained, np.full(lam.shape, penalty)
 
     result = _zoom(evaluate, _accept_all_cap(params))

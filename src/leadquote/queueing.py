@@ -313,28 +313,32 @@ def _late_sum(rho, x, K: int):
     return late
 
 
+def _mm1_ontime(slack, l):
+    """The M/M/1 on-time law 1 - exp(-slack l), unchecked; -expm1 keeps it exact near 0."""
+    return -np.expm1(-slack * l)
+
+
 def mm1_ontime_prob(lam, mu: float, l):
-    """P(sojourn <= l) = 1 - exp(-(mu-lambda) l) for the stable M/M/1 queue,
-    taken as -expm1, which keeps its relative accuracy near 0."""
+    """P(sojourn <= l) = 1 - exp(-(mu-lambda) l) for the stable M/M/1 queue
+    (_mm1_ontime, after checking the rates and the lead time)."""
     _check_rates(lam, mu, 1)
     _check_lead(l)
     if np.any(np.asarray(lam) >= mu):
         raise ValueError("unstable queue: lambda must be < mu for the M/M/1 law")
-    scalar = np.isscalar(lam) and np.isscalar(l)
-    out = -np.expm1(-(mu - np.asarray(lam, dtype=float)) * np.asarray(l, dtype=float))
-    return _ret(out, scalar)
+    return _ret(_mm1_ontime(mu - np.asarray(lam, dtype=float), np.asarray(l, dtype=float)),
+                np.isscalar(lam) and np.isscalar(l))
 
 
-def erlang_quantile_bracket(mu: float, K: int, s: float) -> float:
-    """Crude upper bound for the lead time meeting service level s at any load.
+def erlang_quantile_bracket(mu: float, K: int, z: float) -> float:
+    """Crude upper bound for the lead time meeting the level s at any load,
+    given z = ln(1/(1-s)) (MarketParams.z).
 
     The worst conditional sojourn is Erlang(K, mu), and every admitted
-    sojourn is stochastically below it.  Its mean K/mu plus
-    (8 + 2 ln(1/(1-s))) standard deviations dominates its s-quantile for
-    any s < 1 (Chernoff bound on the gamma tail).  Used as the feasible end
-    of the quote search's starting bracket.
-    """
-    if s <= 0.0:
+    sojourn is stochastically below it.  Its mean K/mu plus (8 + 2 z)
+    standard deviations dominates its s-quantile for any s < 1 (Chernoff
+    bound on the gamma tail).  The feasible end of the quote search's
+    starting bracket."""
+    if z <= 0.0:
         return 0.0
     spread = math.sqrt(K) / mu
-    return K / mu + (8.0 + 2.0 * math.log(1.0 / (1.0 - s))) * spread
+    return K / mu + (8.0 + 2.0 * z) * spread

@@ -226,6 +226,20 @@ def test_zero_service_floor():
     )
 
 
+@pytest.mark.parametrize("s", [1e-12, 1e-15])
+def test_tiny_service_level_quote_is_exact(s):
+    # the costs-off K = 1 quote is z/mu with z = -ln(1 - s): z to an ulp and
+    # the quotient to half of one, so 2 ulps in all.  ln(1/(1 - s)) read
+    # 1.000088900581841e-13 here at s = 1e-12, against 1.0000000000005e-13
+    import mpmath
+
+    sol = solve_mm11_no_costs(BASE.with_updates(s=s))
+    with mpmath.workdps(50):
+        want = float(-mpmath.log(1 - mpmath.mpf(s)) / BASE.mu)
+    assert sol.feasible
+    assert abs(sol.policy.l - want) <= 2 * np.spacing(want)
+
+
 def test_critical_service_level_values():
     assert critical_service_level(BASE.with_updates(b2=20.0)) == pytest.approx(0.5)
     assert critical_service_level(BASE.with_updates(b2=2.0)) == pytest.approx(0.95)

@@ -82,6 +82,17 @@ def test_z_is_log_reciprocal_tail():
     assert MarketParams(a=1, b1=1, b2=0, mu=1, s=0.0).z == 0.0
 
 
+@pytest.mark.parametrize("s", [1e-15, 1e-12, 1e-6, 0.5, 0.95, 0.99])
+def test_z_is_within_an_ulp_of_exact(s):
+    # ln(1/(1-s)) rounds s into 1 - s first, which is 8.9e-5 relative off
+    # at s = 1e-12 and 11 % at 1e-15; -log1p(-s) is good to an ulp at any s
+    import mpmath
+
+    with mpmath.workdps(50):
+        want = float(-mpmath.log(1 - mpmath.mpf(s)))
+    assert abs(BASE.with_updates(s=s).z - want) <= np.spacing(want)
+
+
 @pytest.mark.parametrize(
     "field,value",
     [

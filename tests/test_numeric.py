@@ -71,7 +71,7 @@ def test_min_leadtime_increases_with_load_and_buffer():
 
 def _bisected_quote(lams, params, tol=1e-12):
     lo = np.zeros_like(lams)
-    hi = np.full_like(lams, erlang_quantile_bracket(params.mu, params.K, params.s))
+    hi = np.full_like(lams, erlang_quantile_bracket(params.mu, params.K, params.z))
     while np.max(hi - lo) > tol:
         mid = 0.5 * (lo + hi)
         ok = mm1k_ontime_prob(lams, params.mu, params.K, mid) >= params.s
@@ -626,6 +626,17 @@ def test_baseline_diagnostics_are_pinned():
         assert sol.diagnostics["evaluations"] == 917
         assert sol.diagnostics["refine_rounds"] == 4
         assert len(sol.diagnostics["round_profits"]) == 5
+
+
+def test_baseline_stops_when_the_coarse_scan_finds_no_profit():
+    # b1 c/b2 = 4e6 pins every quote so long that each price is negative,
+    # so the coarse scan of 401 rates finds no finite profit and no round
+    # runs
+    sol = solve_mm1_baseline(BASE.with_updates(c=2e7), costs_on=True)
+    assert not sol.feasible
+    assert sol.diagnostics["evaluations"] == 401
+    assert sol.diagnostics["refine_rounds"] == 0
+    assert sol.diagnostics["round_profits"] == []
 
 
 @pytest.mark.parametrize("model, profit", [("mm11", 0.49385522972485923),
