@@ -29,10 +29,11 @@ on-time probability, which closes its bracket with one call of two points
 per row once Newton's own error estimate allows it, and hands its kernel
 values at lo on to the profit at lo and the first Newton step toward r
 (_pinned), so neither costs a call.  A solve's time is mostly numpy
-calls, not points, so _pinned computes the blocking probability and the
-kernel's per-rate terms (queueing.mm1k_rate_terms) once per vector of
-rates and hands them to both Newton searches, whose steps run on the
-rows still open alone.  Above a - b1 m - b2 z/mu
+calls, not points, so _pinned computes the kernel's per-rate terms
+(queueing.mm1k_rate_terms) once per vector of rates and hands them to
+both Newton searches, whose steps run on the rows still open alone and
+whose tolerances are stated in x = mu l, so that a solve's answer does
+not depend on the unit of time.  Above a - b1 m - b2 z/mu
 (_zero_margin_rate) no quote that meets the service level earns a
 margin, so the lambda search stops there, and for the accept-all model
 also a relative STABILITY_MARGIN below mu (_accept_all_cap), in the
@@ -74,7 +75,7 @@ from .queueing import (
 
 # Inside objectives, price may undershoot zero by market.FEASIBILITY_SLACK,
 # and the on-time probability s by SERVICE_SLACK, before a grid point is
-# declared infeasible (the quote search stops within QUOTE_TOL of the service bound).
+# declared infeasible (the quote search stops within X_TOL/mu of the service bound).
 SERVICE_SLACK = 1e-9
 
 # The accept-all model never evaluates closer to instability than this
@@ -100,9 +101,10 @@ _OFFSETS = np.linspace(-1.0, 1.0, int(round(2.0 / _REFINE_SHRINK)) + 1)
 MIN_RESOLUTION = 100
 MAX_RESOLUTION = 1000
 
-# Quote accuracy of the Newton searches, and a cap on their iterations;
-# they stop on a bracket width or a step size long before the cap.
-QUOTE_TOL = 1e-10
+# Quote accuracy of the Newton searches in x = mu l (X_TOL/mu in time, so
+# 1e-10 at mu = 10), and a cap on their iterations; they stop on a bracket
+# width or a step size long before the cap.
+X_TOL = 1e-9
 _MAX_NEWTON_STEPS = 100
 
 
@@ -240,16 +242,18 @@ def min_leadtime_for_service(lam, params: MarketParams, log_density: bool = Fals
     """Smallest quote meeting the service level at arrival rate lam.
 
     Safeguarded Newton iteration on P(W <= l) = s, vectorized over lam.
-    Each row keeps a bracket [lo, hi] with P(lo) < s <= P(hi), starting
-    from [0, erlang_quantile_bracket(mu, K, z)].  Steps are taken on
-    log P(W > l), whose target is ln(1 - s) = -z (MarketParams.z) and
-    which is concave because the sojourn density is log-concave: the first
-    step from l = 0 lands on the feasible side, and later ones approach the
-    root from there.  A step that leaves the bracket becomes a bisection.
+    Each row keeps a bracket [lo, hi] with P(lo) <= s <= P(hi), starting
+    from [z/mu, erlang_quantile_bracket(mu, K, z)] (an admitted sojourn is
+    stochastically at least Exp(mu)).  Steps are taken on log P(W > l),
+    whose target is ln(1 - s) = -z (MarketParams.z) and which is concave
+    because the sojourn density is log-concave: the first step from l = 0,
+    z/(mu w_0) with g(0) = mu w_0 read off the per-rate terms, lands on the
+    feasible side, and later ones approach the root from there.  A step
+    that leaves the bracket becomes a bisection.
     By that concavity a Newton iterate never lands left of the root, and
     its distance past it is about |(slope + g/late)/2| d^2 for a step d,
     with slope = d log g / dl.  Where that is at most tol/4, tol =
-    QUOTE_TOL, and the iterate lies in the bracket, the next call takes a
+    X_TOL/mu, and the iterate lies in the bracket, the next call takes a
     point tol/20 right of it (clear of rounding in P, and at most hi)
     with one 0.9 tol left of that, never below lo, and the two close the
     bracket at once; every point evaluated lies in [lo, hi].  Stops when
@@ -264,15 +268,14 @@ def min_leadtime_for_service(lam, params: MarketParams, log_density: bool = Fals
     With log_density=True the call returns (quote, P, log g, slope), the
     kernel's values at the quote (mm1k_ontime_prob with log_density), so
     a caller that needs them there makes no call of its own.  rates, if
-    given, is the pair (mm1k_blocking, mm1k_rate_terms) at a 1-d lam, from
+    given, is mm1k_rate_terms at a 1-d lam, as in mm1k_ontime_prob, from
     a caller that has them already.
     """
-    mu, K, s, tol = params.mu, params.K, params.s, QUOTE_TOL
+    mu, K, s, tol = params.mu, params.K, params.s, X_TOL / params.mu
     arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    block, terms = rates if rates is not None else (
-        mm1k_blocking(arr, mu, K), mm1k_rate_terms(arr, mu, K))
+    terms = mm1k_rate_terms(arr, mu, K) if rates is None else rates
     log_late = -params.z
-    lo = np.zeros_like(arr)
+    lo = np.full_like(arr, params.z / mu)
     hi = np.full_like(arr, erlang_quantile_bracket(mu, K, params.z))
     at_hi = np.full((3, arr.size), np.nan)
     # The loop keeps the open rows alone, with their rates and terms, and
@@ -282,20 +285,13 @@ def min_leadtime_for_service(lam, params: MarketParams, log_density: bool = Fals
     paired, rescue, stuck = np.zeros((3, arr.size), dtype=bool)
     width, nudge = 0.9 * tol, 0.05 * tol
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # First Newton step from l = 0, where P = 0 and the density is mu * w_0
-        # with w_0 = P(idle)/(1 - P_block), the chance an admitted job finds the
-        # server idle: exact at K = 1, the M/M/1 quote z/(mu - lam) for rho < 1
-        # and large K.  Cancellation in P(idle) at rho > 1 only sends it to hi.
-        idle = 1.0 - arr * (1.0 - block) / mu
-        x = np.minimum(-log_late * (1.0 - block) / (mu * idle), hi)
-        x = np.where(idle > 0.0, x, hi)
+        # w_0 = h e^-m is the chance that an admitted job finds the server
+        # idle (1 at K = 1).  Where it underflows the step is inf, or 0/0 at
+        # s = 0, and fmin sends it to hi.
+        w_0 = np.exp(terms[5] - terms[2]) if K > 1 else 1.0
+        x = np.fmin(params.z / (mu * w_0), hi)
         for _ in range(_MAX_NEWTON_STEPS):
-            if np.count_nonzero(paired):
-                pts, vals, ok = _paired_points(rows_lam, rows_terms, x, lo, hi, paired, width, params)
-            else:
-                pts = x
-                vals = mm1k_ontime_prob(rows_lam, mu, K, pts, log_density=True, rates=rows_terms)
-                ok = vals[0] >= s
+            pts, vals, ok = _paired_points(rows_lam, rows_terms, x, lo, hi, paired, width, params)
             if np.count_nonzero(ok) == ok.size:
                 # Newton iterates approach the root from the feasible side,
                 # so most steps move hi alone.
@@ -342,9 +338,9 @@ def min_leadtime_for_service(lam, params: MarketParams, log_density: bool = Fals
 
 
 def _paired_points(lam, terms, x, lo, hi, paired, width, params: MarketParams):
-    """One kernel call of a quote-search step with paired rows: a paired
-    row's points are max(x - width, lo), in the row's own slot, and x,
-    appended after all rows unless it is hi, whose values are known.
+    """One kernel call of a quote-search step: a paired row's points are
+    max(x - width, lo), in the row's own slot, and x, appended after all
+    rows unless it is hi, whose values are known; other rows take x.
     Returns each row's point nearest the root, the kernel's values there
     and whether it meets the service level: the lower if feasible, else
     the upper, which if feasible closes the bracket on the lower (lo is
@@ -463,17 +459,15 @@ def _pinned(lam, params: MarketParams):
     and the tie goes to the smallest quote); b2 = 0 with c > 0 pins the
     penalty-elimination cap (profit never falls in l).
 
-    The blocking probability and the kernel's per-rate terms are computed
-    once for the vector and shared by the quote search, the search for r
-    and the profit; the quote search hands on its kernel values at lo, so
-    the profit at lo and the first Newton step toward r cost no call of
+    The load (_mm1k_load) and the kernel's per-rate terms are computed
+    once for the vector; the terms serve the quote search, the search for
+    r and the profit.  The quote search hands on its kernel values at lo,
+    so the profit at lo and the first Newton step toward r cost no call of
     their own, and one objective call covers the rows with an r."""
     a, b2, mu, K, c = params.a, params.b2, params.mu, params.K, params.c
-    block = mm1k_blocking(lam, mu, K)
-    leff, ls = lam * (1.0 - block), mm1k_mean_number(lam, mu, K)
+    leff, ls = _mm1k_load(lam, params)
     terms = mm1k_rate_terms(lam, mu, K)
-    lo, ontime, log_g, slope = min_leadtime_for_service(lam, params, log_density=True,
-                                                        rates=(block, terms))
+    lo, ontime, log_g, slope = min_leadtime_for_service(lam, params, log_density=True, rates=terms)
     if c > 0 and b2 == 0:
         quote = _leadtime_cap(lo, mu)
         ontime = mm1k_ontime_prob(lam, mu, K, quote, rates=terms)
@@ -487,7 +481,7 @@ def _pinned(lam, params: MarketParams):
     found = np.isfinite(root)
     rows = rows[found]
     if rows.size:
-        # A root that converged onto lo may sit up to QUOTE_TOL below it.
+        # A root that converged onto lo may sit up to X_TOL/mu below it.
         r = np.maximum(root[found], lo[rows])
         ontime_r = mm1k_ontime_prob(lam[rows], mu, K, r, rates=terms.take(rows, axis=1))
         at_r = _mm1k_value(lam[rows], r, ontime_r, leff[rows], ls[rows], params)
@@ -503,10 +497,11 @@ def _right_end(lam, lo, log_g, slope, leff, ls, terms, params: MarketParams):
     NaN where there is none above lo, for rows with lam > 0 and lo below
     that bound.  log_g and slope are the kernel's values at lo, leff and
     ls the admitted rate and the mean number in system, and terms the
-    kernel's per-rate terms.  Each step runs on the rows still searching
-    alone."""
+    kernel's per-rate terms.  A row stops on a step of at most X_TOL/mu,
+    the quote search's tolerance.  Each step runs on the rows still
+    searching alone."""
     a, b1, b2, mu, K, c = params.a, params.b1, params.b2, params.mu, params.K, params.c
-    hi = (a - lam) / b2
+    hi, tol = (a - lam) / b2, X_TOL / mu
     level = np.log(leff * b2 / (b1 * c * ls))
     x = np.where(lam > mu, np.maximum(lo, (K - 1) / mu), lo)
     x = np.minimum(x, hi)
@@ -529,7 +524,7 @@ def _right_end(lam, lo, log_g, slope, leff, ls, terms, params: MarketParams):
             up = phi > 0.0
             at_cap = up & (x >= hi)
             nxt = np.where(up, np.minimum(nxt, hi), nxt)
-            done = at_cap | (np.abs(nxt - x) <= QUOTE_TOL)
+            done = at_cap | (np.abs(nxt - x) <= tol)
             lost = ~up & ((slope >= 0.0) | (nxt <= lo))
             found = done.nonzero()[0]
             root[idx[found]] = np.where(at_cap, x, nxt)[found]

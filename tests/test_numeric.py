@@ -29,7 +29,7 @@ from leadquote import (
     solve_mm1k_numeric,
 )
 from leadquote import numeric
-from leadquote.certify import random_params
+from leadquote.certify import random_feasible_params, random_params
 from leadquote.closed_form import quote_level
 from leadquote.numeric import _pinned
 from leadquote.queueing import erlang_quantile_bracket
@@ -47,10 +47,14 @@ def test_export_list_resolves_and_omits_removed_surface():
 
 
 def test_min_leadtime_single_slot_is_exponential_quantile():
-    # K = 1: P(W <= l) = 1 - exp(-mu l), so the minimum quote is z/mu
-    lams = np.array([0.5, 2.0, 8.0, 25.0])
-    got = min_leadtime_for_service(lams, BASE)
-    assert np.max(np.abs(got - BASE.z / BASE.mu)) < 1e-9
+    # K = 1: P(W <= l) = 1 - exp(-mu l), so the minimum quote is z/mu.  The
+    # bracket starts there, so the quote is z/mu to rounding in any unit of
+    # time.
+    for mu in (1e-3, 1.0, 10.0, 1e4):
+        for s in (0.5, 0.95, 0.999):
+            params = BASE.with_updates(mu=mu, s=s)
+            got = min_leadtime_for_service(mu * np.linspace(0.0, 4.0, 41), params)
+            assert np.max(np.abs(got / (params.z / mu) - 1.0)) <= 1e-12
     scalar = min_leadtime_for_service(2.0, BASE)
     assert isinstance(scalar, float)
     assert scalar == pytest.approx(BASE.z / BASE.mu, abs=1e-9)
@@ -97,7 +101,7 @@ SEARCH_RHO = st.lists(st.one_of(st.floats(0.0, 3.0), st.floats(3.0, 1e3)), min_s
 
 
 def _check_service_search(params, lam, slack=0.0):
-    """The search's quote is >= 0, meets the level, is within QUOTE_TOL of
+    """The search's quote is >= 0, meets the level, is within X_TOL/mu of
     the least quote that does (up to slack in P), and comes with the
     kernel's values there."""
     mu, K, s = params.mu, params.K, params.s
@@ -108,7 +112,7 @@ def _check_service_search(params, lam, slack=0.0):
     assert np.all(quote >= 0.0)
     assert np.all(ontime >= s)
     if s > 0.0:
-        below = np.maximum(quote - numeric.QUOTE_TOL, 0.0)
+        below = np.maximum(quote - numeric.X_TOL / mu, 0.0)
         assert np.all(mm1k_ontime_prob(lam, mu, K, below) < s + slack)
 
 
@@ -131,10 +135,11 @@ def test_service_search_meets_the_level_and_hands_on_its_kernel_values(mu, K, s,
 @example(mu=1.25, K=200, s=0.0, rho=[0.0])  # the lambda scan hits rho = 1 exactly
 @pytest.mark.filterwarnings("error")
 def test_tiny_service_levels_take_the_same_search_and_solve(mu, K, s, rho):
-    # The least quote sits near s / g(0), inside QUOTE_TOL of 0 for the
-    # smallest s, so the search's closing pair must not step left of 0.
+    # The least quote sits near s / g(0), inside X_TOL/mu of 0 for the
+    # smallest s, so the search's closing pair must not step below its
+    # bracket's lower end z/mu.
     # P = 1 - late moves in steps of eps/2 near 0 and can fall back by one,
-    # which is more than it rises over QUOTE_TOL where g is tiny; so the
+    # which is more than it rises over X_TOL/mu where g is tiny; so the
     # least-quote check allows P one eps above s.
     params = BASE.with_updates(mu=mu, K=K, s=s)
     _check_service_search(params, mu * np.array(rho), slack=np.finfo(float).eps)
@@ -248,9 +253,9 @@ BUFFER_MARKETS = [(30.0, 20.0, K) for K in (1, 5, 20, 200)] + \
 
 
 def test_finite_buffer_solves_compute_blocking_once_per_rate_vector(monkeypatch):
-    # Each lambda vector's blocking probability serves both the profit's
-    # admitted rate and the quote search's first step, and the search
-    # spends each on-time evaluation once.
+    # Each lambda vector takes its blocking probability once, for the
+    # profit's admitted rate; the quote search reads its first step off the
+    # kernel's per-rate terms and spends each on-time evaluation once.
     calls = {"mm1k_ontime_prob": 0, "mm1k_blocking": 0}
     for name in calls:
         def counted(*args, _name=name, _kernel=getattr(numeric, name), **kwargs):
@@ -265,11 +270,11 @@ def test_finite_buffer_solves_compute_blocking_once_per_rate_vector(monkeypatch)
 
 
 @pytest.mark.parametrize("market, profit, lam, quote", [
-    (dict(K=1), 48.85732188968113, 13.979602606137307, 0.29957322735539915),
+    (dict(K=1), 48.85732188968113, 13.979602606137307, 0.299573227355399),
     (dict(K=5), 69.79630919299424, 10.797354039969393, 0.7442584659859748),
-    (dict(K=20), 61.252527795121054, 7.441220530297914, 1.1512096541237908),
+    (dict(K=20), 61.25252779512105, 7.4412204941610085, 1.1512096397105278),
     (dict(K=200), 61.04958118150335, 7.340611713188439, 1.126474192734632),
-    (dict(a=30.0, b2=0.0, K=5), 4.6794894638991735, 3.9606789439916614, 3.2384464680168294),
+    (dict(a=30.0, b2=0.0, K=5), 4.6794894638991735, 3.9606789439916614, 3.23844646801683),
     (dict(a=60.0, b2=1.0, c=60.0, s=0.2, K=8), 54.79050565430057, 9.524334231771038,
      1.6156722984853074),
 ])
@@ -288,6 +293,67 @@ def test_finite_buffer_solve_is_pinned(market, profit, lam, quote):
         closed = solve_mm11_with_costs(params).policy
         assert abs(lam - closed.lam) <= abs(13.979602663956356 - closed.lam)
         assert abs(quote - closed.l) <= abs(0.29957322735539926 - closed.l)
+
+
+def _rescaled(params, alpha):
+    # The market in a time unit alpha times shorter: rates and costs per
+    # unit time scale by alpha, b2 (price per rate per unit of quote) by
+    # alpha^2.
+    return params.with_updates(a=alpha * params.a, b1=alpha * params.b1, b2=alpha**2 * params.b2,
+                               mu=alpha * params.mu, F=alpha * params.F, c=alpha * params.c)
+
+
+# The profit is flat at its peak: a relative move d of lambda changes it by
+# about d^2 relative, so profit rounding of a few hundred eps hides a move
+# of up to 16 sqrt(eps) (2.4e-7) in lambda, and the quote and price with it.
+# The profit itself moves by the square of that.
+FLAT_PEAK = 16.0 * math.sqrt(np.finfo(float).eps)
+SOLVERS = {"mm1k": lambda params: solve_mm1k_numeric(params.with_updates(K=5)),
+           "mm1": lambda params: solve_mm1_baseline(params, costs_on=True),
+           "mm11": solve_mm11_with_costs}
+
+
+@pytest.mark.parametrize("model", sorted(SOLVERS))
+def test_solvers_give_the_same_answer_in_any_time_unit(model):
+    # The same market in a time unit alpha times shorter has the same price,
+    # the quote l / alpha, the rate alpha lambda and alpha times the profit;
+    # the finite-buffer search's tolerances are stated in x = mu l for this.
+    solve, rng = SOLVERS[model], np.random.default_rng(23)
+    for params in [random_feasible_params(rng, costs_on=True) for _ in range(40)]:
+        base = solve(params)
+        for alpha in (1e-4, 1.0, 1e4, 1e6):
+            sol = solve(_rescaled(params, alpha))
+            assert sol.feasible == base.feasible
+            if not base.feasible:
+                continue
+            assert sol.profit / alpha == pytest.approx(base.profit, rel=FLAT_PEAK**2, abs=0.0)
+            got = (sol.policy.p, sol.policy.l * alpha, sol.policy.lam / alpha)
+            want = (base.policy.p, base.policy.l, base.policy.lam)
+            assert got == pytest.approx(want, rel=FLAT_PEAK, abs=0.0)
+
+
+def test_large_buffer_solve_matches_the_accept_all_baseline():
+    # As K grows with rho* < 1 the finite-buffer problem tends to the
+    # accept-all one, and nothing of the two searches is shared but _zoom's
+    # schedule.  At a fixed policy the blocking probability, the shift of
+    # the mean number and the total variation of the admitted queue length
+    # are each at most (K + 1) rho^K relative, so the profits differ by at
+    # most that share of revenue and costs, plus what the finite-buffer
+    # quote's tolerance X_TOL/mu costs in price and lateness, plus rounding.
+    K, eps, rng = 400, np.finfo(float).eps, np.random.default_rng(17)
+    for params in [random_feasible_params(rng, costs_on=True) for _ in range(40)]:
+        sol = solve_mm1k_numeric(params.with_updates(K=K))
+        base = solve_mm1_baseline(params, costs_on=True)
+        assert sol.feasible == base.feasible
+        if not base.feasible:
+            continue
+        lam, price = base.policy.lam, base.policy.p
+        rho = max(lam, sol.policy.lam) / params.mu
+        assert rho < 1.0
+        ls = lam / (params.mu - lam)
+        truncation = (K + 1) * rho**K * (lam * abs(price - params.m) + (params.F + params.c) * ls)
+        quote = (lam * params.b2 / (params.b1 * params.mu) + params.c * ls) * numeric.X_TOL
+        assert abs(sol.profit - base.profit) <= truncation + quote + 64 * eps * abs(base.profit)
 
 
 @pytest.mark.parametrize("model", ["mm1k", "mm1"])

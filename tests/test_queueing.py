@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leadquote import (
+    birth_death_stationary,
     mm1_ontime_prob,
     mm1k_blocking,
     mm1k_mean_number,
@@ -315,6 +316,18 @@ def test_log_density_closed_form_at_single_slot():
     _, log_g, slope = mm1k_ontime_prob(3.0, 10.0, 1, 0.7, log_density=True)
     assert log_g == pytest.approx(math.log(10.0) - 7.0, rel=1e-14)
     assert slope == pytest.approx(-10.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("K", [2, 5, 20])
+@pytest.mark.parametrize("rho", [0.1, 0.5, 0.99, 1.0, 1.01, 2.0, 10.0])
+def test_density_at_zero_is_the_admitted_idle_probability(K, rho):
+    # g(0)/mu = h e^-m, the per-rate terms the quote search's first step
+    # reads, is w_0 = pi_0/(1 - pi_K): the chance that an admitted job finds
+    # the server idle, here from the balance equations.
+    mu = 10.0
+    _, log_g, _ = mm1k_ontime_prob(rho * mu, mu, K, 0.0, log_density=True)
+    pi = birth_death_stationary(rho * mu, mu, K)
+    assert math.exp(log_g) / mu == pytest.approx(pi[0] / (1.0 - pi[K]), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("K", [1, 5, 200])
