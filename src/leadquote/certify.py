@@ -203,10 +203,10 @@ def check_single_slot_reduction() -> PropertyResult:
 def check_closed_form_against_oracle(costs_on: bool, n: int = 100, seed: int = 11,
                                      resolution: int = 160) -> PropertyResult:
     """Closed-form optima vs the grid oracle, plus stationarity residuals.
-    Without costs the draws have F = c = 0.  All n >= 1 draws are made
-    first and searched by one batched oracle call, whose points the detail
-    counts."""
-    if n < 1:
+    Without costs the draws have F = c = 0.  All n >= 1 draws (n an
+    integer) are made first and searched by one batched oracle call, whose
+    points the detail counts."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"the oracle check needs n >= 1 instances, got {n}")
     tol, residual_tol = 1e-4, 1e-8
     rng = np.random.default_rng(seed)

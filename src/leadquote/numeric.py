@@ -7,10 +7,10 @@ around the incumbent.  A call's cost hardly grows with its number of
 points (the finite-buffer on-time kernel is a few dozen numpy calls,
 whatever K), so few wide rounds beat many narrow ones, and golden-section
 or Brent steps, one sequential call each.
-The oracle runs _search: a coarse grid of resolution rates lambda by
-resolution band fractions u in [0, 1], which places the quote lo + u
-(hi - lo) in a per-lambda band [lo, hi] and so keeps the search box
-rectangular, followed by shrinking local refinements.  It searches a
+The oracle, brute_force_oracles, runs a coarse grid of resolution rates
+lambda by resolution band fractions u in [0, 1], which places the quote
+lo + u (hi - lo) in a per-lambda band [lo, hi] and so keeps the search
+box rectangular, followed by shrinking local refinements.  It searches a
 stack of markets at once: the coarse grids one by one, each refinement
 round for all of them.  A coarse grid skips each lambda row whose exact
 profit bound (_row_bound: the model's own objective at the row's lowest
@@ -84,9 +84,9 @@ STABILITY_MARGIN = 1e-7
 
 # The solvers' lambda search, _zoom: a coarse grid of _COARSE_POINTS
 # intervals, then _ZOOM_ROUNDS rounds of 129 points at the window offsets
-# _ZOOM_OFFSETS, each shrinking the window by _ZOOM_SHRINK.  The oracle's
-# _search runs _ORACLE_ROUNDS rounds of 9 x 9 points at the window offsets
-# _OFFSETS, each shrinking the window by _REFINE_SHRINK.
+# _ZOOM_OFFSETS, each shrinking the window by _ZOOM_SHRINK.  The oracle,
+# brute_force_oracles, runs _ORACLE_ROUNDS rounds of 9 x 9 points at the
+# window offsets _OFFSETS, each shrinking the window by _REFINE_SHRINK.
 _COARSE_POINTS = 400
 _ZOOM_ROUNDS = 4
 _ZOOM_SHRINK = 1.0 / 64.0
@@ -108,89 +108,6 @@ X_TOL = 1e-9
 _MAX_NEWTON_STEPS = 100
 
 
-def _coarse_grid(band, lam_hi, resolution, i):
-    """Market i's coarse grid: resolution rates lam in [0, lam_hi] (a
-    column), lo and span, and resolution band fractions u in [0, 1], with
-    quotes lo + span * u; an empty axis (lam_hi 0, or no band open) is the
-    single point 0."""
-    lam = np.linspace(0.0, lam_hi, resolution if lam_hi > 0 else 1)[:, None]
-    lo, hi = band(lam, i)
-    span = np.maximum(hi - lo, 0.0)
-    return lam, lo, span, np.linspace(0.0, 1.0, resolution if span.max() > 0 else 1)
-
-
-def _search(objective, bound, band, lam_hi, resolution):
-    """The oracle's grid search: for each market i of a stack, maximize
-    objective over lam in [0, lam_hi[i]] and l = lo + u (hi - lo), u in [0, 1].
-
-    band(lam, rows) returns (lo, hi) and objective(lam, L, rows) profits,
-    -inf where infeasible; rows is one market's index, or an index array
-    whose markets are lam's rows.  bound(lam, lo, i) is at least every
-    profit of its row (_row_bound).  The coarse grids (_coarse_grid: one
-    band call each, for resolution rates by resolution band fractions) run
-    one market at a time, so memory stays at one grid.  Each evaluates its
-    _FIRST_ROWS rows of highest bound, then every row whose bound is not
-    below the best found: no other row holds or ties the maximum.  Each of
-    _ORACLE_ROUNDS rounds then runs 9 x 9 points around every found
-    incumbent at once, in windows that start at the coarse steps,
-    lam_hi/(resolution - 1) and 1/(resolution - 1) (0 on a single-point
-    axis), and shrink by _REFINE_SHRINK.  The clipped windows are sorted,
-    so a duplicate point never changes argmax's first-index tie-break;
-    evaluations count the distinct points evaluated.  Every round runs: the
-    optimum often lies within a round's spacing of the incumbent, so
-    stopping on a small improvement would stop short.
-    """
-    n = len(lam_hi)
-    best, evals = np.full(n, -np.inf), np.zeros(n, dtype=int)
-    at_lam, at_l, at_u, w_u = np.zeros((4, n))
-    w_lam = lam_hi / (resolution - 1)
-    for i in range(n):
-        lam, lo, span, u = _coarse_grid(band, lam_hi[i], resolution, i)
-        top = bound(lam, lo, i)[:, 0]
-        P, L = np.full((lam.size, u.size), -np.inf), np.empty((lam.size, u.size))
-        seen = np.zeros(lam.size, dtype=bool)
-        rows = np.argsort(-top, kind="stable")[:_FIRST_ROWS]
-        while rows.size:
-            L[rows] = lo[rows] + span[rows] * u
-            P[rows] = objective(lam[rows], L[rows], i)
-            seen[rows] = True
-            # ~(top < best) also keeps rows whose bound is NaN.
-            rows = np.flatnonzero(~seen & ~(top < P.max()))
-        evals[i] = np.count_nonzero(seen) * u.size
-        j, k = divmod(int(np.argmax(P)), u.size)
-        if np.isfinite(P[j, k]):
-            best[i], at_lam[i], at_l[i], at_u[i] = P[j, k], lam[j, 0], L[j, k], u[k]
-        w_u[i] = 1.0 / (u.size - 1) if u.size > 1 else 0.0
-
-    live = np.flatnonzero(np.isfinite(best))
-    history = [best.copy()]
-    for _ in range(_ORACLE_ROUNDS if live.size else 0):
-        lam = np.clip(at_lam[live, None] + w_lam[live, None] * _OFFSETS, 0.0, lam_hi[live, None])
-        u = np.clip(at_u[live, None] + w_u[live, None] * _OFFSETS, 0.0, 1.0)
-        lo, hi = band(lam[:, :, None], live)
-        L = lo + np.maximum(hi - lo, 0.0) * u[:, None, :]
-        P = objective(lam[:, :, None], L, live).reshape(live.size, -1)
-        evals[live] += _distinct(lam) * _distinct(u)
-        value, (j, k) = P.max(axis=1), np.divmod(P.argmax(axis=1), _OFFSETS.size)
-        up = np.isfinite(value) & (value > best[live])
-        rows = live[up]
-        best[rows], at_lam[rows], at_l[rows], at_u[rows] = (
-            value[up], lam[up, j[up]], L[up, j[up], k[up]], u[up, k[up]])
-        history.append(best.copy())
-        w_lam[live], w_u[live] = w_lam[live] * _REFINE_SHRINK, w_u[live] * _REFINE_SHRINK
-
-    history, found = np.array(history), np.isfinite(best)
-    return [{"lam": float(at_lam[i]), "l": float(at_l[i]), "profit": float(best[i]),
-             "evaluations": int(evals[i]),
-             "refine_rounds": _ORACLE_ROUNDS if found[i] else 0,
-             "round_profits": history[:, i] if found[i] else []} for i in range(n)]
-
-
-def _distinct(x):
-    """The number of distinct values in each row of x, whose rows are sorted."""
-    return 1 + np.count_nonzero(np.diff(x, axis=1), axis=1)
-
-
 def _zoom(evaluate, lam_hi):
     """Maximize a profit over lam in [0, lam_hi] with the quote pinned per lam.
 
@@ -202,7 +119,7 @@ def _zoom(evaluate, lam_hi):
     exposes a second peak; then each of _ZOOM_ROUNDS rounds spans the
     incumbent's window of half-width w (first the coarse step) with the
     129 points of _ZOOM_OFFSETS and shrinks w 64-fold.  Every round runs
-    once a finite profit is found, as in _search, unless lam_hi is 0: the
+    once a finite profit is found, as in the oracle, unless lam_hi is 0: the
     coarse scan is then the single point lam = 0, and no round can move
     it.  Both numeric solvers run this one schedule.
     """
@@ -641,59 +558,126 @@ def _row_bound(objective, lam, lo, params: MarketParams):
 _ORACLE = {"mm11": _mm11_objective, "mm1": _mm1_objective, "mm1k": _mm1k_objective}
 
 
+def _coarse_grid(params, model: str, lam_hi, resolution):
+    """A market's coarse grid: resolution rates lam in [0, lam_hi] (a
+    column), the lo and span of its _oracle_band, and resolution band
+    fractions u in [0, 1], with quotes lo + span * u; an empty axis (lam_hi
+    0, or no band open) is the single point 0."""
+    lam = np.linspace(0.0, lam_hi, resolution if lam_hi > 0 else 1)[:, None]
+    lo, hi = _oracle_band(lam, params, model)
+    span = np.maximum(hi - lo, 0.0)
+    return lam, lo, span, np.linspace(0.0, 1.0, resolution if span.max() > 0 else 1)
+
+
 def brute_force_oracles(markets, model: str, resolution: int = 160) -> list:
-    """brute_force_oracle for each of a list of markets, searched as one
-    stack (see _search), with the same answers bit for bit.  The service
-    search takes one K, so "mm1k" markets are searched one by one.  The
-    oracle searches the full band, so it does not know which end it quoted:
-    each answer takes its model's on-time law at the found policy and reads
-    the branch off it, service-binding within 1e-6 of s."""
+    """Two-phase grid search used to certify the solvers, for each of a
+    list of markets: maximize the model's objective (_ORACLE) over lam in
+    [0, lam_hi] and l = lo + u (hi - lo), u in [0, 1], across the full band
+    [lo, hi] of _oracle_band, which keeps the search box rectangular.
+
+    model picks the system: "mm11" single-slot, "mm1" accept-all benchmark
+    or "mm1k" general finite buffer, with each market's costs (F = c = 0
+    for the cost-free problem).  lam_hi is _zero_margin_rate
+    (_accept_all_cap for "mm1"): a cap from market fields alone, which
+    lets the coarse grid see thin regions of positive profit.  Accuracy is
+    a function of resolution alone, an integer in [MIN_RESOLUTION,
+    MAX_RESOLUTION].
+
+    The coarse grids (_coarse_grid: resolution rates by resolution band
+    fractions) run one market at a time, so memory stays at one grid.  Each
+    evaluates its _FIRST_ROWS rows of highest _row_bound, then every row
+    whose bound is not below the best found: no other row holds or ties the
+    maximum, so the answers are the full grid's bit for bit.  Each of
+    _ORACLE_ROUNDS rounds then runs 9 x 9 points around every found
+    incumbent at once, in windows that start at the coarse steps,
+    lam_hi/(resolution - 1) and 1/(resolution - 1) (0 on a single-point
+    axis), and shrink by _REFINE_SHRINK.  A round evaluates one stack: the
+    found markets' fields as columns, or for "mm1k", whose service search
+    takes one K, the lone market, since such markets are searched one by
+    one.  The clipped windows are sorted, so a duplicate point never
+    changes argmax's first-index tie-break; evaluations count the distinct
+    points evaluated.  Every round runs: the optimum often lies within a
+    round's spacing of the incumbent, so stopping on a small improvement
+    would stop short.
+
+    The oracle searches the full band, so it does not know which end it
+    quoted: each answer takes its model's on-time law at the found policy
+    and reads the branch off it, service-binding within 1e-6 of s.
+    """
     markets = list(markets)
     if model not in _ORACLE:
         raise ValueError(f"unknown oracle model {model!r}; pick one of {tuple(_ORACLE)}")
-    if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
+    if (isinstance(resolution, bool) or not isinstance(resolution, int)
+            or not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION):
         raise ValueError(f"oracle resolution must lie in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], "
                          f"got {resolution}")
     if model == "mm11" and any(p.K != 1 for p in markets):
         raise ValueError("single-slot oracle needs K = 1")
-    if model == "mm1k" and len(markets) > 1:
+    if model == "mm1k" and len(markets) != 1:
         return [sol for p in markets for sol in brute_force_oracles([p], model, resolution)]
-    columns = {f: np.array([getattr(p, f) for p in markets]) for f in "a b1 b2 m mu F c z".split()}
-
-    def view(rows):
-        # A market itself for its coarse scan (and for an mm1k round, whose
-        # stack is that one market); else the columns of the round's rows.
-        if np.ndim(rows) == 0 or model == "mm1k":
-            return markets[np.ravel(rows)[0]]
-        return SimpleNamespace(**{f: col[rows, None, None] for f, col in columns.items()})
-
     objective = _ORACLE[model]
     cap = _accept_all_cap if model == "mm1" else _zero_margin_rate
     lam_hi = np.array([cap(p) for p in markets])
-    results = _search(lambda lam, L, rows: objective(lam, L, view(rows)),
-                      lambda lam, lo, i: _row_bound(objective, lam, lo, markets[i]),
-                      lambda lam, rows: _oracle_band(lam, view(rows), model),
-                      lam_hi, resolution)
-    for p, r in zip(markets, results):
-        r["attained"] = (mm1_ontime_prob(r["lam"], p.mu, r["l"]) if model == "mm1"
-                         else mm1k_ontime_prob(r["lam"], p.mu, p.K, r["l"]))
-        r["branch"] = SERVICE_BINDING if r["attained"] <= p.s + 1e-6 else PENALTY_BINDING
-    return [_numeric_solution(p, result, {"model": model, "resolution": resolution})
-            for p, result in zip(markets, results)]
+    n = len(markets)
+    best, evals = np.full(n, -np.inf), np.zeros(n, dtype=int)
+    at_lam, at_l, at_u, w_u = np.zeros((4, n))
+    w_lam = lam_hi / (resolution - 1)
+    for i, p in enumerate(markets):
+        lam, lo, span, u = _coarse_grid(p, model, lam_hi[i], resolution)
+        top = _row_bound(objective, lam, lo, p)[:, 0]
+        P, L = np.full((lam.size, u.size), -np.inf), np.empty((lam.size, u.size))
+        seen = np.zeros(lam.size, dtype=bool)
+        rows = np.argsort(-top, kind="stable")[:_FIRST_ROWS]
+        while rows.size:
+            L[rows] = lo[rows] + span[rows] * u
+            P[rows] = objective(lam[rows], L[rows], p)
+            seen[rows] = True
+            # ~(top < best) also keeps rows whose bound is NaN.
+            rows = np.flatnonzero(~seen & ~(top < P.max()))
+        evals[i] = np.count_nonzero(seen) * u.size
+        j, k = divmod(int(np.argmax(P)), u.size)
+        if np.isfinite(P[j, k]):
+            best[i], at_lam[i], at_l[i], at_u[i] = P[j, k], lam[j, 0], L[j, k], u[k]
+        w_u[i] = 1.0 / (u.size - 1) if u.size > 1 else 0.0
+
+    live = np.flatnonzero(np.isfinite(best))
+    stack = markets[0] if model == "mm1k" else SimpleNamespace(**{
+        f: np.array([getattr(markets[i], f) for i in live])[:, None, None]
+        for f in "a b1 b2 m mu F c z".split()})
+    history = [best.copy()]
+    for _ in range(_ORACLE_ROUNDS if live.size else 0):
+        lam = np.clip(at_lam[live, None] + w_lam[live, None] * _OFFSETS, 0.0, lam_hi[live, None])
+        u = np.clip(at_u[live, None] + w_u[live, None] * _OFFSETS, 0.0, 1.0)
+        lo, hi = _oracle_band(lam[:, :, None], stack, model)
+        L = lo + np.maximum(hi - lo, 0.0) * u[:, None, :]
+        P = objective(lam[:, :, None], L, stack).reshape(live.size, -1)
+        # The number of distinct rates and fractions of each sorted window.
+        n_lam, n_u = (1 + np.count_nonzero(np.diff(x, axis=1), axis=1) for x in (lam, u))
+        evals[live] += n_lam * n_u
+        value, (j, k) = P.max(axis=1), np.divmod(P.argmax(axis=1), _OFFSETS.size)
+        up = np.isfinite(value) & (value > best[live])
+        rows = live[up]
+        best[rows], at_lam[rows], at_l[rows], at_u[rows] = (
+            value[up], lam[up, j[up]], L[up, j[up], k[up]], u[up, k[up]])
+        history.append(best.copy())
+        w_lam[live], w_u[live] = w_lam[live] * _REFINE_SHRINK, w_u[live] * _REFINE_SHRINK
+
+    history = np.array(history)
+    solutions = []
+    for i, p in enumerate(markets):
+        found, lam, l = np.isfinite(best[i]), float(at_lam[i]), float(at_l[i])
+        attained = (mm1_ontime_prob(lam, p.mu, l) if model == "mm1"
+                    else mm1k_ontime_prob(lam, p.mu, p.K, l))
+        solutions.append(_numeric_solution(p, {
+            "lam": lam, "l": l, "profit": float(best[i]), "attained": attained,
+            "branch": SERVICE_BINDING if attained <= p.s + 1e-6 else PENALTY_BINDING,
+            "evaluations": int(evals[i]), "refine_rounds": _ORACLE_ROUNDS if found else 0,
+            "round_profits": history[:, i] if found else []},
+            {"model": model, "resolution": resolution}))
+    return solutions
 
 
 def brute_force_oracle(params: MarketParams, model: str, resolution: int = 160) -> Solution:
-    """Two-phase grid search (_search) used to certify the solvers: a
-    resolution x resolution coarse grid, then refinement rounds.
-
-    model picks the system: "mm11" single-slot, "mm1" accept-all benchmark
-    or "mm1k" general finite buffer, with the costs of params (F = c = 0
-    for the cost-free problem).  It covers the full band of _oracle_band,
-    with lambda up to _zero_margin_rate (_accept_all_cap for "mm1"): a
-    cap from market fields alone, which lets the coarse grid see thin
-    regions of positive profit.  Its accuracy is a function of
-    resolution alone, in [MIN_RESOLUTION, MAX_RESOLUTION] (pruning rows by
-    exact bounds changes no answer), and evaluations counts the points
-    evaluated.  One brute_force_oracles call.
-    """
+    """brute_force_oracles for one market: the oracle's grid search, which
+    certifies the solvers, is described there."""
     return brute_force_oracles([params], model, resolution)[0]

@@ -2,6 +2,7 @@
 full battery passes at reduced size (full size runs in the acceptance
 suite and the CLI validate subcommand)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from leadquote import (
     random_feasible_params,
     run_all_checks,
 )
+from leadquote import certify
 from leadquote.certify import check_closed_form_against_oracle, random_params
 
 
@@ -73,13 +75,16 @@ def test_full_battery_passes_small():
         assert result.ok, f"{result.name}: {result.detail}"
     names = [r.name for r in results]
     assert len(set(names)) == len(names)
+    assert set(names) == set(NEGATIVE_CONTROLS)  # every check has a negative control
     payload = [r.to_dict() for r in results]
     assert all(set(d) == {"name", "ok", "detail"} for d in payload)
 
 
-@pytest.mark.parametrize("n", [0, -2])
+@pytest.mark.parametrize("n", [0, -2, 2.5, 3.0, True])
 def test_oracle_check_needs_an_instance(n):
-    # With no draws it would certify nothing and still read ok.
+    # With no draws it would certify nothing and still read ok.  A count
+    # that is not an integer fails here too, not in range() (True would
+    # count as 1).
     with pytest.raises(ValueError, match="n >= 1"):
         check_closed_form_against_oracle(False, n=n)
     with pytest.raises(ValueError, match="n >= 1"):
@@ -112,3 +117,56 @@ def test_costed_oracle_check_passes_over_a_seed_sweep():
         if not result.ok:
             failed[seed] = result.detail
     assert not failed, failed
+
+
+def _scaled(factor):
+    """A fault that scales a function's value by factor."""
+    return lambda f: lambda *args: f(*args) * factor
+
+
+def _scaled_profit(factor):
+    """A fault that scales a solver's profit by factor."""
+    def plant(solve):
+        def faulty(params):
+            sol = solve(params)
+            return dataclasses.replace(sol, profit=sol.profit * factor)
+        return faulty
+    return plant
+
+
+# Each check of the battery, the name it calls in certify, and a fault to
+# plant there that the check must catch: each fault is well past the
+# check's tolerance, and an oracle check must catch a closed form that is
+# off by 1e-3 at a small n and the lowest resolution.
+NEGATIVE_CONTROLS = {
+    "queueing-vs-birth-death": (certify.check_queueing_against_birth_death,
+                                "mm1k_blocking", _scaled(1 + 1e-8)),
+    "ontime-vs-erlang-oracle": (certify.check_ontime_against_erlang_oracle,
+                                "mm1k_ontime_prob", lambda f: lambda *args: f(*args) + 1e-8),
+    "mm1-limit-at-large-K": (certify.check_mm1_limit, "mm1k_mean_number", _scaled(1 + 1e-5)),
+    "single-slot-reduction": (certify.check_single_slot_reduction,
+                              "mm1k_profit", _scaled(1 + 1e-9)),
+    "feasibility-gates": (certify.check_feasibility_gates,
+                          "feasible_with_costs", lambda f: lambda *args: not f(*args)),
+    # A solve that sells nothing: the market's price intercept is below m.
+    "branch-dichotomy": (certify.check_branch_dichotomy, "solve_mm11_with_costs",
+                         lambda f: lambda params: f(params.with_updates(a=1.0))),
+    "closed-form-vs-oracle-no-costs": (
+        lambda: check_closed_form_against_oracle(False, n=3, resolution=100),
+        "solve_mm11_with_costs", _scaled_profit(1 + 1e-3)),
+    "closed-form-vs-oracle-with-costs": (
+        lambda: check_closed_form_against_oracle(True, n=3, seed=12, resolution=100),
+        "solve_mm11_with_costs", _scaled_profit(1 + 1e-3)),
+    "numeric-vs-closed-form-at-K1": (certify.check_numeric_matches_closed_form,
+                                     "solve_mm1k_numeric", _scaled_profit(1 + 1e-2)),
+}
+
+
+@pytest.mark.parametrize("name", list(NEGATIVE_CONTROLS))
+def test_each_check_fails_on_a_planted_fault(name, monkeypatch):
+    check, target, plant = NEGATIVE_CONTROLS[name]
+    clean = check()
+    assert clean.name == name and clean.ok, clean.detail
+    monkeypatch.setattr(certify, target, plant(getattr(certify, target)))
+    faulty = check()
+    assert faulty.name == name and not faulty.ok, faulty.detail

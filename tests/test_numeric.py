@@ -277,7 +277,7 @@ def test_finite_buffer_solves_compute_blocking_once_per_rate_vector(monkeypatch)
     (dict(a=30.0, b2=0.0, K=5), 4.6794894638991735, 3.9606789439916614, 3.23844646801683),
     (dict(a=60.0, b2=1.0, c=60.0, s=0.2, K=8), 54.79050565430057, 9.524334231771038,
      1.6156722984853074),
-])
+], ids=["K1", "K5", "K20", "K200", "b2-zero-K5", "right-end-K8"])
 def test_finite_buffer_solve_is_pinned(market, profit, lam, quote):
     # Bit for bit: the per-rate kernel terms and the quote search's
     # bookkeeping must not move an iterate.  The last two markets quote
@@ -354,6 +354,47 @@ def test_large_buffer_solve_matches_the_accept_all_baseline():
         truncation = (K + 1) * rho**K * (lam * abs(price - params.m) + (params.F + params.c) * ls)
         quote = (lam * params.b2 / (params.b1 * params.mu) + params.c * ls) * numeric.X_TOL
         assert abs(sol.profit - base.profit) <= truncation + quote + 64 * eps * abs(base.profit)
+
+
+# Each model's solver and the buffer whose quote search it runs (None
+# where the quote is a closed form).
+STATICS_MODELS = [
+    (solve_mm11_with_costs, None),
+    (lambda p: solve_mm1k_numeric(p.with_updates(K=3)), 3),
+    (lambda p: solve_mm1k_numeric(p.with_updates(K=20)), 20),
+    (lambda p: solve_mm1_baseline(p, costs_on=True), None),
+]
+
+
+def test_optimal_profit_follows_the_comparative_statics():
+    # Lowering a or mu can only lower the optimal profit, and lowering s,
+    # c, F, m or b2 can only raise it: every policy feasible before stays
+    # feasible and earns no less at a price above m, which a positive
+    # profit needs.  The certificate shares no search with the solvers.  A
+    # solve may land below the optimum by its own tolerances: the quote
+    # search's X_TOL/mu, which costs (lambda b2/(b1 mu) + c L_s) X_TOL as
+    # in the large-buffer test, the lambda search's last spacing,
+    # lam_hi/400/64^4, which costs about 1e-18 relative at the peak, and
+    # rounding, 64 eps.  So the solve at the better market may read that
+    # much below the one at the worse.  12 draws with costs on, each field
+    # lowered by 5-10 %: 336 pairs in about 1 s.
+    eps, rng = np.finfo(float).eps, np.random.default_rng(29)
+    for _ in range(12):
+        params = random_params(rng, costs_on=True)
+        moves = {f: float(rng.uniform(0.05, 0.10)) for f in ("a", "mu", "s", "c", "F", "m", "b2")}
+        for solve, K in STATICS_MODELS:
+            base = solve(params)
+            for field, frac in moves.items():
+                moved = params.with_updates(**{field: getattr(params, field) * (1.0 - frac)})
+                low = solve(moved)
+                rising = field in ("a", "mu")
+                worse, better, at = (low, base, params) if rising else (base, low, moved)
+                tol = 64 * eps * abs(better.profit)
+                if K is not None:
+                    lam = better.policy.lam
+                    tol += (lam * at.b2 / (at.b1 * at.mu)
+                            + at.c * mm1k_mean_number(lam, at.mu, K)) * numeric.X_TOL
+                assert worse.profit <= better.profit + tol, (field, params)
 
 
 @pytest.mark.parametrize("model", ["mm1k", "mm1"])
@@ -668,6 +709,11 @@ def test_mm1_profit_guards():
 def test_oracle_guards():
     with pytest.raises(ValueError):
         brute_force_oracle(BASE, "mm11", resolution=50)
+    # A point count in range is rejected too unless it is an integer, before
+    # np.linspace would raise a TypeError of its own.
+    for resolution in (160.0, 100.5, np.float64(160.0)):
+        with pytest.raises(ValueError, match=r"\[100, 1000\], got "):
+            brute_force_oracle(BASE, "mm11", resolution=resolution)
     with pytest.raises(ValueError):
         brute_force_oracle(BASE, "not-a-model")
     with pytest.raises(ValueError):
@@ -758,8 +804,7 @@ def test_batched_oracle_takes_a_lone_finite_buffer_market():
 def _coarse_grid_at(params, model, resolution):
     """A market's coarse grid as the oracle lays it out (_coarse_grid)."""
     cap = (numeric._accept_all_cap if model == "mm1" else numeric._zero_margin_rate)(params)
-    lam, lo, span, u = numeric._coarse_grid(
-        lambda lam, i: numeric._oracle_band(lam, params, model), cap, resolution, 0)
+    lam, lo, span, u = numeric._coarse_grid(params, model, cap, resolution)
     assert lam[0, 0] == 0.0 and lam[-1, 0] == cap
     return lam, lo, span, u
 
