@@ -29,7 +29,13 @@ from .closed_form import (
 )
 from .market import MarketParams, Policy
 # bench/tracing.py wraps brute_force_oracle here by name; the checks call brute_force_oracles.
-from .numeric import brute_force_oracle, brute_force_oracles, mm1k_profit, solve_mm1k_numeric
+from .numeric import (
+    _check_resolution,
+    brute_force_oracle,
+    brute_force_oracles,
+    mm1k_profit,
+    solve_mm1k_numeric,
+)
 from .queueing import (
     mm1k_blocking,
     mm1k_mean_number,
@@ -200,14 +206,21 @@ def check_single_slot_reduction() -> PropertyResult:
     )
 
 
+def _check_instances(n) -> None:
+    """The oracle check's instance count must be an int (not a bool) >= 1."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"the oracle check needs n >= 1 instances, got {n}")
+
+
 def check_closed_form_against_oracle(costs_on: bool, n: int = 100, seed: int = 11,
                                      resolution: int = 160) -> PropertyResult:
     """Closed-form optima vs the grid oracle, plus stationarity residuals.
     Without costs the draws have F = c = 0.  All n >= 1 draws (n an
     integer) are made first and searched by one batched oracle call, whose
-    points the detail counts."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"the oracle check needs n >= 1 instances, got {n}")
+    points the detail counts.  n and resolution are checked before any
+    draw."""
+    _check_instances(n)
+    _check_resolution(resolution)
     tol, residual_tol = 1e-4, 1e-8
     rng = np.random.default_rng(seed)
     markets = [random_feasible_params(rng, costs_on) for _ in range(n)]
@@ -299,7 +312,10 @@ def check_feasibility_gates() -> PropertyResult:
 
 def run_all_checks(n_instances: int = 100, resolution: int = 160,
                    seed: int = 11) -> list:
-    """The full battery, ordered cheap to expensive."""
+    """The full battery, ordered cheap to expensive.  n_instances and
+    resolution are checked first, so a bad one fails before any check runs."""
+    _check_instances(n_instances)
+    _check_resolution(resolution)
     return [
         check_queueing_against_birth_death(),
         check_ontime_against_erlang_oracle(),

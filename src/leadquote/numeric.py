@@ -11,11 +11,12 @@ The oracle, brute_force_oracles, runs a coarse grid of resolution rates
 lambda by resolution band fractions u in [0, 1], which places the quote
 lo + u (hi - lo) in a per-lambda band [lo, hi] and so keeps the search
 box rectangular, followed by shrinking local refinements.  It searches a
-stack of markets at once: the coarse grids one by one, each refinement
-round for all of them.  A coarse grid skips each lambda row whose exact
-profit bound (_row_bound: the model's own objective at the row's lowest
-quote, with c = s = 0) is below a value found, so the answers are the
-full grid's bit for bit.
+stack of markets at once, the coarse grids as one array and each
+refinement round for all of them, in blocks of at most _CELLS points per
+array and per objective call.  A coarse grid skips each lambda row whose
+exact profit bound (_row_bound: the model's own objective at the row's
+lowest quote, with c = s = 0) is below a value found, so the answers are
+the full grid's bit for bit.
 
 For the accept-all M/M/1 benchmark the profit is concave in l at fixed
 lambda and the best quote is ln(x)/(mu - lambda),
@@ -66,7 +67,6 @@ from .market import FEASIBILITY_SLACK, MarketParams, Policy
 from .queueing import (
     _mm1_ontime,
     erlang_quantile_bracket,
-    mm1_ontime_prob,
     mm1k_blocking,
     mm1k_mean_number,
     mm1k_ontime_prob,
@@ -96,10 +96,12 @@ _ORACLE_ROUNDS = 10
 _REFINE_SHRINK = 0.25
 _OFFSETS = np.linspace(-1.0, 1.0, int(round(2.0 / _REFINE_SHRINK)) + 1)
 
-# The oracle's resolution range: its coarse grid holds resolution^2
-# points, about 27 MB at the upper bound.
+# The oracle's resolution range, and its cell budget: no array it lays out
+# and no objective call it makes holds more than _CELLS points, so its
+# memory grows neither with resolution squared nor with the markets.
 MIN_RESOLUTION = 100
 MAX_RESOLUTION = 1000
+_CELLS = 1 << 14
 
 # Quote accuracy of the Newton searches in x = mu l (X_TOL/mu in time, so
 # 1e-10 at mu = 10), and a cap on their iterations; they stop on a bracket
@@ -543,7 +545,7 @@ def _mm11_objective(lam, L, params):
     return np.where(p >= -FEASIBILITY_SLACK, profit, -np.inf)
 
 
-def _row_bound(objective, lam, lo, params: MarketParams):
+def _row_bound(objective, lam, lo, params):
     """At least objective(lam, L, params) at every quote L >= lo, in floating
     point too: the objective itself at lo on the market with c = s = 0.
     There its lateness term c (...) >= 0 is an exact 0 (the mm1k kernel
@@ -551,22 +553,21 @@ def _row_bound(objective, lam, lo, params: MarketParams):
     point, so what is left is the price term, which falls in L since IEEE
     operations are monotone, less costs that do not depend on L.  A row
     whose price at lo is below -FEASIBILITY_SLACK reads -inf, as every
-    point of it does."""
-    return objective(lam, lo, params.with_updates(c=0.0, s=0.0))
+    point of it does.  params is one market or a stack of them, as in
+    _oracle_band."""
+    return objective(lam, lo, SimpleNamespace(**{**vars(params), "c": 0.0, "s": 0.0}))
 
 
 _ORACLE = {"mm11": _mm11_objective, "mm1": _mm1_objective, "mm1k": _mm1k_objective}
 
 
-def _coarse_grid(params, model: str, lam_hi, resolution):
-    """A market's coarse grid: resolution rates lam in [0, lam_hi] (a
-    column), the lo and span of its _oracle_band, and resolution band
-    fractions u in [0, 1], with quotes lo + span * u; an empty axis (lam_hi
-    0, or no band open) is the single point 0."""
-    lam = np.linspace(0.0, lam_hi, resolution if lam_hi > 0 else 1)[:, None]
-    lo, hi = _oracle_band(lam, params, model)
-    span = np.maximum(hi - lo, 0.0)
-    return lam, lo, span, np.linspace(0.0, 1.0, resolution if span.max() > 0 else 1)
+def _check_resolution(resolution) -> None:
+    """The oracle's resolution must be an int (not a bool) in
+    [MIN_RESOLUTION, MAX_RESOLUTION]."""
+    if (isinstance(resolution, bool) or not isinstance(resolution, int)
+            or not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION):
+        raise ValueError(f"oracle resolution must lie in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], "
+                         f"got {resolution}")
 
 
 def brute_force_oracles(markets, model: str, resolution: int = 160) -> list:
@@ -583,22 +584,32 @@ def brute_force_oracles(markets, model: str, resolution: int = 160) -> list:
     a function of resolution alone, an integer in [MIN_RESOLUTION,
     MAX_RESOLUTION].
 
-    The coarse grids (_coarse_grid: resolution rates by resolution band
-    fractions) run one market at a time, so memory stays at one grid.  Each
+    Both phases run on one stack: the markets' fields as columns, or for
+    "mm1k", whose service search takes one K, the lone market.  A call
+    searches at most _CELLS // resolution markets, one for "mm1k", and
+    splits a longer list, so no array it lays out, and no objective call
+    it makes, holds more than _CELLS points.  The coarse phase lays out
+    every market's resolution rates, np.linspace(0, lam_hi, resolution)
+    bit for bit, as rows of one array, each with resolution band
+    fractions.  A market with lam_hi 0 has one rate: its other rows repeat
+    it and are never evaluated.  One whose band is closed at every rate
+    has one fraction, u = 0: its quotes are all lo, so each of its rows
+    repeats that point and argmax keeps the first.  In waves, every market
     evaluates its _FIRST_ROWS rows of highest _row_bound, then every row
-    whose bound is not below the best found: no other row holds or ties the
-    maximum, so the answers are the full grid's bit for bit.  Each of
-    _ORACLE_ROUNDS rounds then runs 9 x 9 points around every found
-    incumbent at once, in windows that start at the coarse steps,
+    whose bound is not below the best found, in calls of at most _CELLS
+    points: no other row holds or ties the maximum.  Each row keeps its
+    maximum and first argmax, so each answer is the first maximum in
+    row-major order, as argmax over the full grid finds it, and the full
+    grid's bit for bit.
+
+    Each of _ORACLE_ROUNDS rounds then runs 9 x 9 points around every
+    found incumbent at once, in windows that start at the coarse steps,
     lam_hi/(resolution - 1) and 1/(resolution - 1) (0 on a single-point
-    axis), and shrink by _REFINE_SHRINK.  A round evaluates one stack: the
-    found markets' fields as columns, or for "mm1k", whose service search
-    takes one K, the lone market, since such markets are searched one by
-    one.  The clipped windows are sorted, so a duplicate point never
-    changes argmax's first-index tie-break; evaluations count the distinct
-    points evaluated.  Every round runs: the optimum often lies within a
-    round's spacing of the incumbent, so stopping on a small improvement
-    would stop short.
+    axis), and shrink by _REFINE_SHRINK.  The clipped windows are sorted,
+    so a duplicate point never changes argmax's first-index tie-break;
+    evaluations count the distinct points evaluated.  Every round runs:
+    the optimum often lies within a round's spacing of the incumbent, so
+    stopping on a small improvement would stop short.
 
     The oracle searches the full band, so it does not know which end it
     quoted: each answer takes its model's on-time law at the found policy
@@ -607,50 +618,78 @@ def brute_force_oracles(markets, model: str, resolution: int = 160) -> list:
     markets = list(markets)
     if model not in _ORACLE:
         raise ValueError(f"unknown oracle model {model!r}; pick one of {tuple(_ORACLE)}")
-    if (isinstance(resolution, bool) or not isinstance(resolution, int)
-            or not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION):
-        raise ValueError(f"oracle resolution must lie in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], "
-                         f"got {resolution}")
+    _check_resolution(resolution)
     if model == "mm11" and any(p.K != 1 for p in markets):
         raise ValueError("single-slot oracle needs K = 1")
-    if model == "mm1k" and len(markets) != 1:
-        return [sol for p in markets for sol in brute_force_oracles([p], model, resolution)]
+    # Objective calls of per_call rows, on as many markets (mm1k: one).
+    per_call = max(1, _CELLS // resolution)
+    size = 1 if model == "mm1k" else per_call
+    if not 0 < len(markets) <= size:
+        return [sol for i in range(0, len(markets), size)
+                for sol in brute_force_oracles(markets[i:i + size], model, resolution)]
     objective = _ORACLE[model]
     cap = _accept_all_cap if model == "mm1" else _zero_margin_rate
-    lam_hi = np.array([cap(p) for p in markets])
     n = len(markets)
-    best, evals = np.full(n, -np.inf), np.zeros(n, dtype=int)
-    at_lam, at_l, at_u, w_u = np.zeros((4, n))
+    lam_hi = np.array([cap(p) for p in markets])
+    fields = "a b1 b2 m mu F c z".split()
+    values = np.array([[getattr(p, f) for p in markets] for f in fields])
+
+    def stack(idx):
+        # The markets idx as columns shaped like idx, or the lone mm1k market.
+        if model == "mm1k":
+            return markets[0]
+        return SimpleNamespace(**dict(zip(fields, values[:, idx])))
+
+    # The coarse grids, one row per market and rate: np.linspace(0, lam_hi,
+    # resolution) bit for bit, in its form for a step that is 0 (lam_hi 0
+    # or subnormal) as well.
     w_lam = lam_hi / (resolution - 1)
-    for i, p in enumerate(markets):
-        lam, lo, span, u = _coarse_grid(p, model, lam_hi[i], resolution)
-        top = _row_bound(objective, lam, lo, p)[:, 0]
-        P, L = np.full((lam.size, u.size), -np.inf), np.empty((lam.size, u.size))
-        seen = np.zeros(lam.size, dtype=bool)
-        rows = np.argsort(-top, kind="stable")[:_FIRST_ROWS]
-        while rows.size:
-            L[rows] = lo[rows] + span[rows] * u
-            P[rows] = objective(lam[rows], L[rows], p)
-            seen[rows] = True
-            # ~(top < best) also keeps rows whose bound is NaN.
-            rows = np.flatnonzero(~seen & ~(top < P.max()))
-        evals[i] = np.count_nonzero(seen) * u.size
-        j, k = divmod(int(np.argmax(P)), u.size)
-        if np.isfinite(P[j, k]):
-            best[i], at_lam[i], at_l[i], at_u[i] = P[j, k], lam[j, 0], L[j, k], u[k]
-        w_u[i] = 1.0 / (u.size - 1) if u.size > 1 else 0.0
+    u, grid = np.linspace(0.0, 1.0, resolution), np.arange(resolution)
+    step, top_rate = w_lam[:, None], lam_hi[:, None]
+    lam = np.where(step > 0.0, grid * step, grid / (resolution - 1) * top_rate)
+    lam[:, -1] = lam_hi
+    block = stack(np.arange(n)[:, None])
+    lo, hi = _oracle_band(lam, block, model)
+    span = np.maximum(hi - lo, 0.0)
+    top = _row_bound(objective, lam, lo, block)
+    n_lam = np.where(lam_hi > 0, resolution, 1)
+    n_u = np.where(span.max(axis=1) > 0, resolution, 1)
+    seen = grid >= n_lam[:, None]
+    row_max, row_arg = np.full(lam.shape, -np.inf), np.zeros(lam.shape, dtype=int)
+    rows = np.zeros(lam.shape, dtype=bool)
+    np.put_along_axis(rows, np.argsort(-top, axis=1, kind="stable")[:, :_FIRST_ROWS], True, axis=1)
+    rows &= ~seen
+    while rows.any():
+        i, j = rows.nonzero()
+        for c in range(0, i.size, per_call):
+            i_c, j_c = i[c:c + per_call], j[c:c + per_call]
+            P = objective(lam[i_c, j_c, None], lo[i_c, j_c, None] + span[i_c, j_c, None] * u,
+                          stack(i_c[:, None]))
+            # argmax finds a row's first NaN if it has one, as max does.
+            row_arg[i_c, j_c] = k = P.argmax(axis=1)
+            row_max[i_c, j_c] = P[np.arange(k.size), k]
+        seen |= rows
+        # ~(top < best) also keeps rows whose bound is NaN.
+        rows = ~seen & ~(top < row_max.max(axis=1, keepdims=True))
+    # seen also holds the rows past n_lam, which repeat the one rate.
+    evals = (np.count_nonzero(seen, axis=1) - resolution + n_lam) * n_u
+    w_u = np.where(n_u > 1, 1.0 / (resolution - 1), 0.0)
+    best, at_lam, at_l, at_u = np.full(n, -np.inf), *np.zeros((3, n))
+    j = row_max.argmax(axis=1)
+    i = np.isfinite(row_max[np.arange(n), j]).nonzero()[0]
+    j = j[i]
+    k = row_arg[i, j]
+    best[i], at_lam[i], at_l[i], at_u[i] = row_max[i, j], lam[i, j], lo[i, j] + span[i, j] * u[k], u[k]
 
     live = np.flatnonzero(np.isfinite(best))
-    stack = markets[0] if model == "mm1k" else SimpleNamespace(**{
-        f: np.array([getattr(markets[i], f) for i in live])[:, None, None]
-        for f in "a b1 b2 m mu F c z".split()})
+    stack_live = stack(live[:, None, None])
     history = [best.copy()]
     for _ in range(_ORACLE_ROUNDS if live.size else 0):
         lam = np.clip(at_lam[live, None] + w_lam[live, None] * _OFFSETS, 0.0, lam_hi[live, None])
         u = np.clip(at_u[live, None] + w_u[live, None] * _OFFSETS, 0.0, 1.0)
-        lo, hi = _oracle_band(lam[:, :, None], stack, model)
+        lo, hi = _oracle_band(lam[:, :, None], stack_live, model)
         L = lo + np.maximum(hi - lo, 0.0) * u[:, None, :]
-        P = objective(lam[:, :, None], L, stack).reshape(live.size, -1)
+        P = objective(lam[:, :, None], L, stack_live).reshape(live.size, -1)
         # The number of distinct rates and fractions of each sorted window.
         n_lam, n_u = (1 + np.count_nonzero(np.diff(x, axis=1), axis=1) for x in (lam, u))
         evals[live] += n_lam * n_u
@@ -663,11 +702,15 @@ def brute_force_oracles(markets, model: str, resolution: int = 160) -> list:
         w_lam[live], w_u[live] = w_lam[live] * _REFINE_SHRINK, w_u[live] * _REFINE_SHRINK
 
     history = np.array(history)
+    # One on-time call for all markets; the finite-buffer law reads rho =
+    # lam/mu and x = mu l alone, so it takes them in time units of 1/mu,
+    # bit for bit.
+    mu = stack(np.arange(n)).mu
+    on_time = (_mm1_ontime(mu - at_lam, at_l) if model == "mm1"
+               else mm1k_ontime_prob(at_lam / mu, 1.0, markets[0].K, mu * at_l)).tolist()
     solutions = []
     for i, p in enumerate(markets):
-        found, lam, l = np.isfinite(best[i]), float(at_lam[i]), float(at_l[i])
-        attained = (mm1_ontime_prob(lam, p.mu, l) if model == "mm1"
-                    else mm1k_ontime_prob(lam, p.mu, p.K, l))
+        found, lam, l, attained = np.isfinite(best[i]), float(at_lam[i]), float(at_l[i]), on_time[i]
         solutions.append(_numeric_solution(p, {
             "lam": lam, "l": l, "profit": float(best[i]), "attained": attained,
             "branch": SERVICE_BINDING if attained <= p.s + 1e-6 else PENALTY_BINDING,

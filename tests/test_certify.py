@@ -91,6 +91,24 @@ def test_oracle_check_needs_an_instance(n):
         run_all_checks(n_instances=n)
 
 
+def test_battery_checks_its_arguments_before_any_check(monkeypatch):
+    # A bad count or resolution fails at once: no check runs, and the
+    # oracle check draws no market, before the ValueError.
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the arguments were checked")
+
+    for name in ("check_queueing_against_birth_death", "check_ontime_against_erlang_oracle",
+                 "check_mm1_limit", "check_single_slot_reduction", "check_feasibility_gates",
+                 "check_branch_dichotomy", "random_feasible_params"):
+        monkeypatch.setattr(certify, name, never)
+    for kwargs, message in (({"n_instances": 0}, "n >= 1"), ({"n_instances": 2.5}, "n >= 1"),
+                            ({"resolution": 99}, r"\[100, 1000\], got 99")):
+        with pytest.raises(ValueError, match=message):
+            run_all_checks(**kwargs)
+    with pytest.raises(ValueError, match=r"\[100, 1000\], got 99"):
+        check_closed_form_against_oracle(False, resolution=99)
+
+
 def test_oracle_check_reports_the_points_it_evaluated():
     result = check_closed_form_against_oracle(True, n=5, seed=4)
     rng = np.random.default_rng(4)

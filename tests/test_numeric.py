@@ -721,7 +721,7 @@ def test_oracle_guards():
 
 
 def test_oracle_rejects_a_resolution_above_the_cap():
-    # The coarse grid holds resolution^2 points: 27 MB at 1000, 107 MB at 2000.
+    # The range holds for every caller, not only for validate's --resolution.
     with pytest.raises(ValueError, match=r"\[100, 1000\], got 1001"):
         brute_force_oracles([BASE, BASE.with_updates(a=40.0)], "mm11", resolution=1001)
 
@@ -802,9 +802,16 @@ def test_batched_oracle_takes_a_lone_finite_buffer_market():
 
 
 def _coarse_grid_at(params, model, resolution):
-    """A market's coarse grid as the oracle lays it out (_coarse_grid)."""
+    """A market's coarse grid as the oracle lays it out: resolution rates in
+    [0, cap] (a column), the lo and span of its band, and resolution band
+    fractions u in [0, 1], with quotes lo + span * u; an axis with nothing
+    to search (a cap of 0, or no band open at any rate) is the single
+    point 0."""
     cap = (numeric._accept_all_cap if model == "mm1" else numeric._zero_margin_rate)(params)
-    lam, lo, span, u = numeric._coarse_grid(params, model, cap, resolution)
+    lam = np.linspace(0.0, cap, resolution if cap > 0 else 1)[:, None]
+    lo, hi = numeric._oracle_band(lam, params, model)
+    span = np.maximum(hi - lo, 0.0)
+    u = np.linspace(0.0, 1.0, resolution if span.max() > 0 else 1)
     assert lam[0, 0] == 0.0 and lam[-1, 0] == cap
     return lam, lo, span, u
 
@@ -816,13 +823,105 @@ def _coarse_rows(params, model):
     return lam, lo, lo + span * u
 
 
-@pytest.mark.parametrize("model", ["mm11", "mm1"])
+def _reference_coarse_scan(params, model, resolution):
+    """The oracle's coarse phase for one market, as it ran before the
+    markets were stacked: the grid of _coarse_grid_at on one array, its
+    _FIRST_ROWS rows of highest bound, then every row whose bound is not
+    below the best found, until none is left, and argmax over the whole
+    grid.  Returns the best value (-inf if none is finite), its rate and
+    quote (0 if none), and the points evaluated."""
+    objective = numeric._ORACLE[model]
+    lam, lo, span, u = _coarse_grid_at(params, model, resolution)
+    top = numeric._row_bound(objective, lam, lo, params)[:, 0]
+    P, L = np.full((lam.size, u.size), -np.inf), np.empty((lam.size, u.size))
+    seen = np.zeros(lam.size, dtype=bool)
+    rows = np.argsort(-top, kind="stable")[:numeric._FIRST_ROWS]
+    while rows.size:
+        L[rows] = lo[rows] + span[rows] * u
+        P[rows] = objective(lam[rows], L[rows], params)
+        seen[rows] = True
+        rows = np.flatnonzero(~seen & ~(top < P.max()))
+    j, k = divmod(int(np.argmax(P)), u.size)
+    if not np.isfinite(P[j, k]):
+        return -np.inf, 0.0, 0.0, np.count_nonzero(seen) * u.size
+    return P[j, k], lam[j, 0], L[j, k], np.count_nonzero(seen) * u.size
+
+
+@pytest.mark.parametrize("model", ["mm11", "mm1", "mm1k"])
 @pytest.mark.parametrize("params", [BASE, WIDE_AXIS], ids=["BASE", "WIDE_AXIS"])
-def test_coarse_grid_is_resolution_by_resolution(params, model):
-    # resolution rates times resolution band fractions, whatever the cap.
+def test_coarse_grid_is_resolution_by_resolution(params, model, monkeypatch):
+    # resolution rates times resolution band fractions, whatever the cap:
+    # with no row pruned and no round, the oracle evaluates every point.
     lam, lo, span, u = _coarse_grid_at(params, model, 160)
     assert (lam.shape, lo.shape, span.shape, u.shape) == ((160, 1), (160, 1), (160, 1), (160,))
     assert u[0] == 0.0 and u[-1] == 1.0
+    monkeypatch.setattr(numeric, "_row_bound",
+                        lambda objective, lam, lo, params: np.full(lam.shape, np.inf))
+    monkeypatch.setattr(numeric, "_ORACLE_ROUNDS", 0)
+    (sol,) = brute_force_oracles([params], model, resolution=160)
+    assert sol.diagnostics["evaluations"] == 160 * 160
+
+
+@pytest.mark.parametrize("planted", ["none", "nan", "ties"])
+@pytest.mark.parametrize("model", ["mm11", "mm1", "mm1k"])
+def test_stacked_coarse_phase_equals_the_per_market_scan(model, planted, monkeypatch):
+    # With no rounds, each answer is the coarse phase's alone.  BASE at
+    # m = 7 has a cap of 0 but an open band, a 1 x 160 grid, and at a = 1
+    # (also in the batch) a 1 x 1 grid.  A NaN planted in the objective, and
+    # so in the row bounds, takes argmax and max as it does on the full
+    # grid; profits rounded to 0.1 tie across rows, and the first in
+    # row-major order wins.
+    extra = [BASE.with_updates(m=7.0), BASE.with_updates(a=1.0)]
+    markets = _batched_oracle_markets(model) + [
+        p.with_updates(K=3) if model == "mm1k" else p for p in extra]
+    monkeypatch.setattr(numeric, "_ORACLE_ROUNDS", 0)
+    objective = numeric._ORACLE[model]
+    if planted == "nan":
+        monkeypatch.setitem(numeric._ORACLE, model, lambda lam, L, params: np.where(
+            (lam > 2.0) & (lam < 2.2) & (params.mu > 10.0), np.nan, objective(lam, L, params)))
+    elif planted == "ties":
+        monkeypatch.setitem(numeric._ORACLE, model,
+                            lambda lam, L, params: np.round(objective(lam, L, params), 1))
+    assert brute_force_oracles([], model) == []
+    stacked = brute_force_oracles(markets, model)
+    assert [sol.diagnostics["evaluations"] for sol in stacked[-2:]] == [160, 1]
+    if planted == "nan":
+        # The NaN loses markets with mu > 10, and leaves others found.
+        assert any(not sol.diagnostics["round_profits"] and params.mu > 10.0
+                   for params, sol in zip(markets, stacked))
+        assert any(sol.diagnostics["round_profits"] for sol in stacked)
+    for params, sol in zip(markets, stacked):
+        best, lam, l, evals = _reference_coarse_scan(params, model, 160)
+        assert sol.diagnostics["evaluations"] == evals
+        assert sol.diagnostics["round_profits"] == ([best] if np.isfinite(best) else [])
+        assert sol.feasible == (lam > 0.0 and best > 0.0)
+        if sol.feasible:
+            assert (sol.policy.lam, sol.policy.l, sol.profit) == (lam, l, best)
+    # The market with cap 0 takes one objective call for its row bounds and
+    # one for its one rate, not for the rows that repeat it.
+    evaluate, cells = numeric._ORACLE[model], []
+    monkeypatch.setitem(numeric._ORACLE, model, lambda lam, L, params: (
+        cells.append(np.size(L)), evaluate(lam, L, params))[1])
+    brute_force_oracles(markets[-2:-1], model)
+    assert cells == [160, 160]
+
+
+@pytest.mark.parametrize("model", ["mm11", "mm1"])
+def test_oracle_objective_calls_stay_within_the_cell_budget(model, monkeypatch):
+    # 100 markets at the top resolution hold 1e8 coarse points; no call,
+    # row bounds and rounds included, may take more than the budget.
+    objective, sizes = numeric._ORACLE[model], []
+
+    def recording(lam, L, params):
+        sizes.append(np.size(L))
+        return objective(lam, L, params)
+
+    monkeypatch.setitem(numeric._ORACLE, model, recording)
+    rng = np.random.default_rng(30)
+    markets = [random_feasible_params(rng, costs_on=True) for _ in range(100)]
+    sols = brute_force_oracles(markets, model, resolution=numeric.MAX_RESOLUTION)
+    assert len(sols) == 100 and any(sol.feasible for sol in sols)
+    assert 0 < max(sizes) <= numeric._CELLS
 
 
 # cap = mu (1 - STABILITY_MARGIN): the accept-all model's last coarse row
