@@ -642,9 +642,9 @@ def brute_force_oracles(markets, model: str, resolution: int = 160) -> list:
 
     # The coarse grids, one row per market and rate: np.linspace(0, lam_hi,
     # resolution) bit for bit, in its form for a step that is 0 (lam_hi 0
-    # or subnormal) as well.
-    w_lam = lam_hi / (resolution - 1)
-    u, grid = np.linspace(0.0, 1.0, resolution), np.arange(resolution)
+    # or subnormal) as well; one rate if every lam_hi is 0.
+    w_lam, n_lam = lam_hi / (resolution - 1), np.where(lam_hi > 0, resolution, 1)
+    u, grid = np.linspace(0.0, 1.0, resolution), np.arange(n_lam.max())
     step, top_rate = w_lam[:, None], lam_hi[:, None]
     lam = np.where(step > 0.0, grid * step, grid / (resolution - 1) * top_rate)
     lam[:, -1] = lam_hi
@@ -652,7 +652,6 @@ def brute_force_oracles(markets, model: str, resolution: int = 160) -> list:
     lo, hi = _oracle_band(lam, block, model)
     span = np.maximum(hi - lo, 0.0)
     top = _row_bound(objective, lam, lo, block)
-    n_lam = np.where(lam_hi > 0, resolution, 1)
     n_u = np.where(span.max(axis=1) > 0, resolution, 1)
     seen = grid >= n_lam[:, None]
     row_max, row_arg = np.full(lam.shape, -np.inf), np.zeros(lam.shape, dtype=int)
@@ -672,7 +671,7 @@ def brute_force_oracles(markets, model: str, resolution: int = 160) -> list:
         # ~(top < best) also keeps rows whose bound is NaN.
         rows = ~seen & ~(top < row_max.max(axis=1, keepdims=True))
     # seen also holds the rows past n_lam, which repeat the one rate.
-    evals = (np.count_nonzero(seen, axis=1) - resolution + n_lam) * n_u
+    evals = (np.count_nonzero(seen, axis=1) - grid.size + n_lam) * n_u
     w_u = np.where(n_u > 1, 1.0 / (resolution - 1), 0.0)
     best, at_lam, at_l, at_u = np.full(n, -np.inf), *np.zeros((3, n))
     j = row_max.argmax(axis=1)

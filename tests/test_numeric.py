@@ -897,13 +897,24 @@ def test_stacked_coarse_phase_equals_the_per_market_scan(model, planted, monkeyp
         assert sol.feasible == (lam > 0.0 and best > 0.0)
         if sol.feasible:
             assert (sol.policy.lam, sol.policy.l, sol.profit) == (lam, l, best)
-    # The market with cap 0 takes one objective call for its row bounds and
-    # one for its one rate, not for the rows that repeat it.
-    evaluate, cells = numeric._ORACLE[model], []
-    monkeypatch.setitem(numeric._ORACLE, model, lambda lam, L, params: (
-        cells.append(np.size(L)), evaluate(lam, L, params))[1])
+    # Alone, BASE at m = 7 lays out its one rate: a row bound of one point,
+    # then that rate's 160 fractions.  Searched with BASE, its grid has 160
+    # rows, and the waves evaluate the points they count and no others, so
+    # not the rows that repeat its one rate.
+    evaluate, calls = numeric._ORACLE[model], []
+
+    def counting(lam, L, params):
+        # (a row bound's call, which takes one quote per rate; its points)
+        calls.append((np.shape(L) == np.shape(lam), np.size(L)))
+        return evaluate(lam, L, params)
+
+    monkeypatch.setitem(numeric._ORACLE, model, counting)
     brute_force_oracles(markets[-2:-1], model)
-    assert cells == [160, 160]
+    assert calls == [(True, 1), (False, 160)]
+    calls.clear()
+    pair = brute_force_oracles([markets[-2], markets[5]], model)
+    waves = sum(size for bound, size in calls if not bound)
+    assert waves == sum(sol.diagnostics["evaluations"] for sol in pair) > 160
 
 
 @pytest.mark.parametrize("model", ["mm11", "mm1"])
